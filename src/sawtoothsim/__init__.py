@@ -8,7 +8,6 @@ between ideal and perturbed evolutions.
 
 from .classical import (
     ClassicalParams,
-    KickNoiseSchedule,
     PhasePoint,
     island_frequency,
     island_rotation_number,
@@ -18,7 +17,6 @@ from .classical import (
     poincare_section,
     step_classical,
     trajectory,
-    trajectory_perturbed,
 )
 from .states import (
     LatticeParams,
@@ -32,26 +30,14 @@ from .states import (
 )
 from .propagator import (
     BatchPropagator,
-    StepPerturbation,
-    apply_kick,
-    apply_rotation,
-    evolve,
     step_exact,
-    step_exact_inverse,
 )
 from .circuit import (
     CircuitEngine,
     CircuitProgram,
     Gate,
-    NoiseModel,
-    NoisyGateDraw,
-    apply_gate,
-    apply_noisy_gate,
     build_sawtooth_circuit,
     circuit_deviation,
-    log_noise_draws,
-    run_step_ideal,
-    run_step_noisy,
 )
 from .experiments import (
     DecayFit,
@@ -79,7 +65,6 @@ from .io import (
     write_csv,
     write_curve,
     write_json,
-    write_noise_log,
     write_poincare,
     write_records,
     write_state,
@@ -88,24 +73,22 @@ from .io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalParams", "KickNoiseSchedule", "PhasePoint",
+    "ClassicalParams", "PhasePoint",
     "island_frequency", "island_rotation_number", "frequency_shift",
     "lyapunov_exponent", "lyapunov_numeric", "poincare_section",
-    "step_classical", "trajectory", "trajectory_perturbed",
+    "step_classical", "trajectory",
     "LatticeParams", "QuantumState", "WavePacketSpec", "fidelity",
     "gaussian_packet", "random_state", "to_angle", "to_momentum",
-    "BatchPropagator", "StepPerturbation", "apply_kick", "apply_rotation",
-    "evolve", "step_exact", "step_exact_inverse",
-    "CircuitEngine", "CircuitProgram", "Gate", "NoiseModel", "NoisyGateDraw",
-    "apply_gate", "apply_noisy_gate", "build_sawtooth_circuit",
-    "circuit_deviation", "log_noise_draws", "run_step_ideal", "run_step_noisy",
+    "BatchPropagator", "step_exact",
+    "CircuitEngine", "CircuitProgram", "Gate", "build_sawtooth_circuit",
+    "circuit_deviation",
     "DecayFit", "ExperimentConfig", "FidelityCurve", "FitError",
     "NoCrossingError", "RateRecord", "RegimeRecord", "TfRecord",
     "classical_error_regimes", "collapse_constant", "estimate_tf",
     "fidelity_curve", "fit_decay", "scattering_fidelity", "sweep_rate_vs_K",
     "sweep_tf",
     "config_metadata", "read_config", "read_state", "write_circuit",
-    "write_csv", "write_curve", "write_json", "write_noise_log",
-    "write_poincare", "write_records", "write_state",
+    "write_csv", "write_curve", "write_json", "write_poincare",
+    "write_records", "write_state",
     "__version__",
 ]

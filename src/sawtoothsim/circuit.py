@@ -30,9 +30,11 @@ with parameters drawn uniformly from [-epsilon, +epsilon].
 Controlled-phase-class gates acquire independent extra phases on each
 computational sector; Hadamards become pi rotations about a tilted
 axis (polar angle pi/4 + nu1, azimuth nu2), with the global phase of
-the rotation dropped (fidelity never sees it).  In the memoryless
-regime parameters are redrawn at every application; in the static
-regime one draw per gate position is frozen and reused forever.
+the rotation dropped (fidelity never sees it).  The engine takes the
+drawn parameters as an argument; whether they are redrawn every step
+(memoryless) or frozen (static) is decided by the noise source in
+:mod:`sawtoothsim.experiments`.  A zero parameter block gives the
+noiseless circuit.
 """
 
 from __future__ import annotations
@@ -42,19 +44,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import MOMENTUM, LatticeParams, QuantumState
+from .states import LatticeParams
 
 PARAMS_PER_GATE = 4  # fixed RNG consumption per noisy gate, every kind
 
 __all__ = [
     "Gate",
     "CircuitProgram",
-    "NoiseModel",
     "build_sawtooth_circuit",
     "bit_reversal_permutation",
-    "apply_gate",
-    "apply_noisy_gate",
-    "run_step_noisy",
     "CircuitEngine",
     "circuit_deviation",
 ]
@@ -63,9 +61,6 @@ HADAMARD = "hadamard"
 CPHASE = "cphase"
 PHASE1 = "phase"
 BITREV = "bitrev"
-
-NOISY_KINDS = (HADAMARD, CPHASE, PHASE1)
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -91,7 +86,10 @@ class Gate:
 
 @dataclass(frozen=True)
 class CircuitProgram:
-    """Ordered gate list realizing exactly one map step."""
+    """Ordered gate list realizing exactly one map step.
+
+    Raises IndexError when a gate addresses a qubit outside 0..n_q-1.
+    """
 
     n_q: int
     gates: tuple
@@ -100,6 +98,11 @@ class CircuitProgram:
     cphase_count: int = field(init=False)
 
     def __post_init__(self):
+        for g in self.gates:
+            qubits = (g.control, g.target) if g.kind == CPHASE else (g.target,)
+            if g.kind != BITREV and not all(0 <= q < self.n_q for q in qubits):
+                raise IndexError(f"{g.kind} gate on qubits {qubits} "
+                                 f"out of range for n_q={self.n_q}")
         h = sum(1 for g in self.gates if g.kind == HADAMARD)
         cp = sum(1 for g in self.gates if g.kind in (CPHASE, PHASE1))
         object.__setattr__(self, "hadamard_count", h)
@@ -112,33 +115,7 @@ class CircuitProgram:
     @property
     def gate_count(self) -> int:
         """Total counted gates n_g = 3 n_q^2 + n_q."""
-        return self.hadamard_count + self.cphase_count
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Unitary gate-error specification.
-
-    epsilon bounds every drawn parameter; regime selects fresh draws
-    per application ("memoryless") or one frozen draw per gate position
-    ("static", derived from ``seed``).
-    """
-
-    epsilon: float
-    regime: str = "memoryless"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
-        if self.regime not in ("memoryless", "static"):
-            raise ValueError("regime must be 'memoryless' or 'static'")
-
-    def static_params(self, program: CircuitProgram) -> np.ndarray:
-        """The frozen (noisy_gate_count, 4) parameter table."""
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(-self.epsilon, self.epsilon,
-                           (program.noisy_gate_count, PARAMS_PER_GATE))
+        return self.noisy_gate_count
 
 
 def build_sawtooth_circuit(lattice: LatticeParams) -> CircuitProgram:
@@ -207,18 +184,9 @@ def bit_reversal_permutation(n_q: int) -> np.ndarray:
 # batched kernels: amps has shape (members, N), C contiguous
 # ---------------------------------------------------------------------------
 
-def _h_views(amps, n_q, t):
+def _qubit_views(amps, n_q, t):
     m = amps.shape[0]
     return amps.reshape(m, 1 << (n_q - 1 - t), 2, 1 << t)
-
-
-def _apply_h_ideal(amps, n_q, t):
-    v = _h_views(amps, n_q, t)
-    a = v[:, :, 0, :].copy()
-    b = v[:, :, 1, :]
-    s = 1.0 / math.sqrt(2.0)
-    v[:, :, 0, :] = s * (a + b)
-    v[:, :, 1, :] = s * (a - b)
 
 
 def _apply_h_tilted(amps, n_q, t, nu1, nu2):
@@ -232,7 +200,7 @@ def _apply_h_tilted(amps, n_q, t, nu1, nu2):
     s = np.sin(th)
     ep = (s * np.exp(1j * nu2))[:, None, None]
     em = (s * np.exp(-1j * nu2))[:, None, None]
-    v = _h_views(amps, n_q, t)
+    v = _qubit_views(amps, n_q, t)
     a = v[:, :, 0, :].copy()
     b = v[:, :, 1, :]
     v[:, :, 0, :] = c * a + em * b
@@ -243,11 +211,6 @@ def _cp_views(amps, n_q, qa, qb):
     m = amps.shape[0]
     hi, lo = max(qa, qb), min(qa, qb)
     return amps.reshape(m, 1 << (n_q - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
-
-
-def _apply_cp_ideal(amps, n_q, control, target, angle):
-    v = _cp_views(amps, n_q, control, target)
-    v[:, :, 1, :, 1, :] *= np.exp(1j * angle)
 
 
 def _apply_cp_noisy(amps, n_q, control, target, angle, eps):
@@ -271,19 +234,9 @@ def _apply_cp_noisy(amps, n_q, control, target, angle, eps):
     sector(1, 1)[...] *= (np.exp(1j * angle) * ph[:, 3])[:, None, None, None]
 
 
-def _p1_views(amps, n_q, t):
-    m = amps.shape[0]
-    return amps.reshape(m, 1 << (n_q - 1 - t), 2, 1 << t)
-
-
-def _apply_p1_ideal(amps, n_q, t, angle):
-    v = _p1_views(amps, n_q, t)
-    v[:, :, 1, :] *= np.exp(1j * angle)
-
-
 def _apply_p1_noisy(amps, n_q, t, angle, eps):
     """Phase gate with independent dephasing on both of its sectors."""
-    v = _p1_views(amps, n_q, t)
+    v = _qubit_views(amps, n_q, t)
     v[:, :, 0, :] *= np.exp(1j * eps[:, 0])[:, None, None]
     v[:, :, 1, :] *= np.exp(1j * (angle + eps[:, 1]))[:, None, None]
 
@@ -301,20 +254,6 @@ class CircuitEngine:
         self.n_q = program.n_q
         self.perm = bit_reversal_permutation(program.n_q)
         self.offset_phase = complex(np.exp(1j * program.phase_offset))
-
-    def step_ideal(self, amps: np.ndarray) -> np.ndarray:
-        n_q = self.n_q
-        for g in self.program.gates:
-            if g.kind == HADAMARD:
-                _apply_h_ideal(amps, n_q, g.target)
-            elif g.kind == CPHASE:
-                _apply_cp_ideal(amps, n_q, g.control, g.target, g.angle)
-            elif g.kind == PHASE1:
-                _apply_p1_ideal(amps, n_q, g.target, g.angle)
-            else:
-                amps = np.ascontiguousarray(amps[:, self.perm])
-        amps *= self.offset_phase
-        return amps
 
     def step_noisy(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         """params: (members, noisy_gate_count, 4) in program gate order."""
@@ -338,141 +277,6 @@ class CircuitEngine:
         return amps
 
 
-# ---------------------------------------------------------------------------
-# single-state entry points
-# ---------------------------------------------------------------------------
-
-def _require_register(state: QuantumState):
-    if state.basis != MOMENTUM:
-        raise ValueError("circuit gates act on the computational (momentum) register")
-
-
-def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
-    """Ideal application of one gate."""
-    _require_register(state)
-    n_q = state.lattice.n_q
-    if gate.kind != BITREV and not (0 <= gate.target < n_q):
-        raise IndexError(f"target {gate.target} out of range for n_q={n_q}")
-    if gate.kind == CPHASE and not (0 <= gate.control < n_q):
-        raise IndexError(f"control {gate.control} out of range for n_q={n_q}")
-    amps = state.amps.copy().reshape(1, -1)
-    if gate.kind == HADAMARD:
-        _apply_h_ideal(amps, n_q, gate.target)
-    elif gate.kind == CPHASE:
-        _apply_cp_ideal(amps, n_q, gate.control, gate.target, gate.angle)
-    elif gate.kind == PHASE1:
-        _apply_p1_ideal(amps, n_q, gate.target, gate.angle)
-    else:
-        amps = amps[:, bit_reversal_permutation(n_q)]
-    return QuantumState(amps[0], MOMENTUM, state.lattice)
-
-
-def apply_noisy_gate(state: QuantumState, gate: Gate, noise: NoiseModel,
-                     rng: np.random.Generator) -> QuantumState:
-    """One gate with parameters drawn fresh from ``rng``.
-
-    Every noisy gate consumes exactly four uniforms from the stream
-    regardless of kind, so draw logs have fixed shape.  Bookkeeping
-    gates consume nothing.
-    """
-    _require_register(state)
-    if gate.kind == BITREV:
-        return apply_gate(state, gate)
-    n_q = state.lattice.n_q
-    params = rng.uniform(-noise.epsilon, noise.epsilon, (1, PARAMS_PER_GATE))
-    amps = state.amps.copy().reshape(1, -1)
-    if gate.kind == HADAMARD:
-        _apply_h_tilted(amps, n_q, gate.target, params[:, 0], params[:, 1])
-    elif gate.kind == CPHASE:
-        _apply_cp_noisy(amps, n_q, gate.control, gate.target, gate.angle, params)
-    elif gate.kind == PHASE1:
-        _apply_p1_noisy(amps, n_q, gate.target, gate.angle, params)
-    return QuantumState(amps[0], MOMENTUM, state.lattice)
-
-
-def run_step_noisy(state: QuantumState, program: CircuitProgram,
-                   noise: NoiseModel, rng: np.random.Generator | None = None) -> QuantumState:
-    """One full noisy map step.
-
-    Memoryless regime draws (noisy_gate_count, 4) fresh parameters from
-    ``rng``; static regime uses the table frozen from ``noise.seed``
-    and ignores ``rng``.
-    """
-    _require_register(state)
-    if noise.regime == "static":
-        params = noise.static_params(program)
-    else:
-        if rng is None:
-            raise ValueError("memoryless noise needs an rng")
-        params = rng.uniform(-noise.epsilon, noise.epsilon,
-                             (program.noisy_gate_count, PARAMS_PER_GATE))
-    engine = CircuitEngine(program)
-    amps = engine.step_noisy(state.amps.copy().reshape(1, -1), params[None, :, :])
-    return QuantumState(amps[0], MOMENTUM, state.lattice)
-
-
-def run_step_ideal(state: QuantumState, program: CircuitProgram) -> QuantumState:
-    """One full noiseless map step through the gate list."""
-    _require_register(state)
-    engine = CircuitEngine(program)
-    amps = engine.step_ideal(state.amps.copy().reshape(1, -1))
-    return QuantumState(amps[0], MOMENTUM, state.lattice)
-
-
-@dataclass(frozen=True)
-class NoisyGateDraw:
-    """Audit record of the error parameters one noisy gate consumed.
-
-    ``params`` holds the parameters the gate actually uses: four
-    sector phases for a controlled-phase, two for a single-qubit
-    phase, and the two axis tilts (nu1, nu2) for a Hadamard.
-    ``gate_position`` indexes the program's gate list, so records line
-    up with the circuit dump.
-    """
-
-    step: int
-    gate_position: int
-    kind: str
-    params: tuple
-
-
-_USED_PARAMS = {HADAMARD: 2, CPHASE: 4, PHASE1: 2}
-
-
-def log_noise_draws(program: CircuitProgram, noise: NoiseModel, steps: int,
-                    rng: np.random.Generator | None = None):
-    """Replay the draw sequence of ``steps`` noisy map steps.
-
-    Produces exactly the parameters :func:`run_step_noisy` (and the
-    batch engine) would consume, without evolving any state, so a
-    logged run can be audited or reproduced.  Memoryless regime
-    consumes from ``rng``; static regime repeats the frozen table.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    draws = []
-    if noise.regime == "static":
-        table = noise.static_params(program)
-    for step in range(steps):
-        if noise.regime == "static":
-            params = table
-        else:
-            if rng is None:
-                raise ValueError("memoryless noise needs an rng")
-            params = rng.uniform(-noise.epsilon, noise.epsilon,
-                                 (program.noisy_gate_count, PARAMS_PER_GATE))
-        gi = 0
-        for pos, g in enumerate(program.gates):
-            if g.kind == BITREV:
-                continue
-            used = _USED_PARAMS[g.kind]
-            draws.append(NoisyGateDraw(
-                step=step, gate_position=pos, kind=g.kind,
-                params=tuple(float(v) for v in params[gi, :used])))
-            gi += 1
-    return draws
-
-
 def circuit_deviation(lattice: LatticeParams, n_states: int = 20,
                       seed: int = 0) -> float:
     """Max amplitude deviation, noiseless circuit vs split-operator step.
@@ -486,11 +290,12 @@ def circuit_deviation(lattice: LatticeParams, n_states: int = 20,
 
     program = build_sawtooth_circuit(lattice)
     engine = CircuitEngine(program)
+    zero = np.zeros((1, program.noisy_gate_count, PARAMS_PER_GATE))
     worst = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(n_states):
         psi = random_state(lattice, rng)
-        via_circuit = engine.step_ideal(psi.amps.copy().reshape(1, -1))[0]
+        via_circuit = engine.step_noisy(psi.amps.copy().reshape(1, -1), zero)[0]
         via_exact = step_exact(psi, lattice).amps
         worst = max(worst, float(np.max(np.abs(via_circuit - via_exact))))
     return worst

@@ -25,7 +25,6 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "PhasePoint",
     "ClassicalParams",
-    "KickNoiseSchedule",
     "step_classical",
     "step_array",
     "lyapunov_exponent",
@@ -35,7 +34,6 @@ __all__ = [
     "frequency_shift",
     "poincare_section",
     "trajectory",
-    "trajectory_perturbed",
     "torus_distance",
 ]
 
@@ -76,23 +74,6 @@ class ClassicalParams:
     def stable(self) -> bool:
         """True in the quasi-integrable regime -4 <= K <= 0."""
         return -4.0 <= self.K <= 0.0
-
-
-@dataclass(frozen=True)
-class KickNoiseSchedule:
-    """Per-step kick perturbations delta_K(t), uniform in [-deltaK_max, +deltaK_max]."""
-
-    deltaK_max: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.deltaK_max < 0:
-            raise ValueError("deltaK_max must be >= 0")
-
-    def values(self, steps: int) -> np.ndarray:
-        """The reproducible sequence delta_K(0..steps-1)."""
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(-self.deltaK_max, self.deltaK_max, steps)
 
 
 def step_array(theta, p, K):
@@ -205,19 +186,6 @@ def poincare_section(seeds, params: ClassicalParams, steps: int):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     return [trajectory(s, params, steps) for s in seeds]
-
-
-def trajectory_perturbed(point: PhasePoint, params: ClassicalParams,
-                         noise: KickNoiseSchedule, steps: int) -> np.ndarray:
-    """Trajectory with K replaced by K + delta_K(t) at step t."""
-    deltas = noise.values(steps)
-    out = np.empty((steps + 1, 2))
-    theta, p = point.theta, point.p
-    out[0] = theta, p
-    for t in range(1, steps + 1):
-        theta, p = step_array(theta, p, params.K + deltas[t - 1])
-        out[t] = theta, p
-    return out
 
 
 def torus_distance(a, b) -> np.ndarray:

@@ -109,15 +109,20 @@ def _choice(text: str, name: str, allowed) -> str:
 
 
 class Options:
-    """Typed option access with CLI > config file > default precedence."""
+    """Typed option access with CLI > config file > default precedence.
+
+    An empty value counts as unset, so a result header's ``theta0 = ``
+    (a center drawn per state) reads back as the default.
+    """
 
     def __init__(self, args: argparse.Namespace):
-        self.cli = {k: v for k, v in vars(args).items() if v is not None}
+        self.cli = {k: v for k, v in vars(args).items() if v not in (None, "")}
         self.file = {}
         config_path = self.cli.get("config")
         if config_path:
             try:
-                self.file = sio.read_config(config_path)
+                self.file = {k: v for k, v in sio.read_config(config_path).items()
+                             if v != ""}
             except OSError as exc:
                 raise ConfigError(f"cannot read config file: {exc}")
             except ValueError as exc:
@@ -191,8 +196,6 @@ def _experiment_config(opts: Options, default_nq: int, default_K: float,
     lattice = _lattice(opts, default_nq, default_K)
     epsilon = opts.float("epsilon", 0.0)
     delta_K = opts.float("deltaK", 0.0)
-    if epsilon < 0 or delta_K < 0:
-        raise ConfigError("epsilon and deltaK must be >= 0")
     if epsilon > 0 and delta_K > 0:
         raise ConfigError("give either epsilon (gate noise) or deltaK "
                           "(kick noise), not both")

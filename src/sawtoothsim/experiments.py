@@ -7,13 +7,19 @@ The central observable is the overlap decay
 between an ideal evolution and a perturbed twin started from the same
 state.  Two perturbation channels are supported:
 
-- "classical": the kick strength fluctuates, k -> k + delta_k(t), one
-  uniform draw per map step; both branches run under the
-  split-operator propagator.
+- "classical": the kick strength is detuned, k -> k + delta_k(t); both
+  branches run under the split-operator propagator.
 - "quantum": every gate of the circuit realization is noisy; the
   perturbed branch runs gate by gate while the ideal branch uses the
   split-operator propagator (identical to the noiseless circuit to
   near machine precision, and much faster).
+
+Either channel runs in one of two regimes: "memoryless" redraws the
+perturbation every map step, "static" draws it once per member and
+freezes it (for the classical channel a fixed detuning, the setting
+in which regular dynamics shows Gaussian fidelity decay).  Both
+regimes share one noise source (:func:`noise_blocks`) and one
+forward core for the perturbed branch (:func:`perturbed_branch`).
 
 Ensembles average over initial states and/or noise realizations, with
 per-member derived RNG streams so curves are reproducible bit for bit
@@ -29,12 +35,14 @@ the finite-N saturation floor.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
 from . import streams
-from .circuit import CircuitEngine, NoiseModel, build_sawtooth_circuit, PARAMS_PER_GATE
+from .circuit import PARAMS_PER_GATE, CircuitEngine, build_sawtooth_circuit
 from .classical import lyapunov_exponent
 from .propagator import BatchPropagator
 from .states import (
@@ -111,6 +119,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.channel not in ("quantum", "classical"):
             raise ValueError("channel must be 'quantum' or 'classical'")
+        if self.regime not in ("memoryless", "static"):
+            raise ValueError("regime must be 'memoryless' or 'static'")
+        for name in ("epsilon", "delta_K"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.initial not in ("gaussian", "random"):
             raise ValueError("initial must be 'gaussian' or 'random'")
         if self.t_max < 1:
@@ -222,20 +235,51 @@ def _initial_block(config: ExperimentConfig) -> np.ndarray:
     return block
 
 
-def _member_gate_rngs(config: ExperimentConfig):
-    return [streams.stream(config.master_seed, streams.DOMAIN_GATE, m)
-            for m in range(config.n_members)]
+def noise_blocks(config: ExperimentConfig, members, shape: tuple):
+    """Per-step noise parameters of the listed ensemble members.
+
+    Yields one (len(members),) + shape block per map step.  Member m
+    draws ``uniform(-a, a, shape)`` from its own stream of the
+    channel's domain: the gate channel draws a (noisy_gate_count, 4)
+    parameter table with a = epsilon, the classical channel a scalar
+    kick detuning delta_k with a = delta_K / T.  The memoryless regime
+    draws a fresh block every step; the static regime draws once and
+    yields that block forever.  Nothing is drawn until a block is
+    requested, so only the steps actually evolved consume the streams.
+    The yielded array is refilled in place at the next memoryless step.
+    """
+    if config.channel == "classical":
+        domain, a = streams.DOMAIN_CLASSICAL, config.delta_K / config.lattice.T
+    else:
+        domain, a = streams.DOMAIN_GATE, config.epsilon
+    rngs = [streams.stream(config.master_seed, domain, m) for m in members]
+    block = np.empty((len(rngs), *shape))
+    while True:
+        for i, rng in enumerate(rngs):
+            block[i] = rng.uniform(-a, a, shape)
+        yield block
+        while config.regime == "static":
+            yield block
 
 
-def _classical_deltas(config: ExperimentConfig) -> np.ndarray:
-    """(n_members, t_max) per-step kick perturbations in k units."""
-    lattice = config.lattice
-    dk_max = config.delta_K / lattice.T
-    out = np.empty((config.n_members, config.t_max))
-    for m in range(config.n_members):
-        rng = streams.stream(config.master_seed, streams.DOMAIN_CLASSICAL, m)
-        out[m] = rng.uniform(-dk_max, dk_max, config.t_max)
-    return out
+def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
+                     block: np.ndarray, members):
+    """Yield the perturbed (members, N) block after each map step.
+
+    Row i of ``block`` evolves under the noise of ensemble member
+    ``members[i]`` (see :func:`noise_blocks`): the classical channel
+    steps ``prop`` with a per-member kick detuning, the quantum
+    channel runs the noisy gate circuit.  ``block`` may be overwritten.
+    """
+    if config.channel == "classical":
+        step, shape = prop.step, ()
+    else:
+        engine = CircuitEngine(build_sawtooth_circuit(config.lattice))
+        step = engine.step_noisy
+        shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
+    for params in noise_blocks(config, members, shape):
+        block = step(block, params)
+        yield block
 
 
 # ---------------------------------------------------------------------------
@@ -244,50 +288,19 @@ def _classical_deltas(config: ExperimentConfig) -> np.ndarray:
 
 def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
     """Ensemble-averaged f(t) for the configured channel."""
-    lattice = config.lattice
     n_members = config.n_members
     state_of_member = np.repeat(np.arange(config.n_states), config.n_noise)
-
+    prop = BatchPropagator(config.lattice)
     ideal = _initial_block(config)
-    pert = ideal[state_of_member].copy()
+    branch = perturbed_branch(config, prop, ideal[state_of_member],
+                              range(n_members))
 
     member_f = np.empty((n_members, config.t_max + 1))
     member_f[:, 0] = 1.0
-
-    prop = BatchPropagator(lattice)
-
-    if config.channel == "classical":
-        deltas = _classical_deltas(config)
-        for t in range(1, config.t_max + 1):
-            ideal = prop.step(ideal)
-            pert = prop.step(pert, deltas[:, t - 1])
-            member_f[:, t] = np.abs(
-                np.sum(ideal[state_of_member].conj() * pert, axis=1)) ** 2
-    else:
-        program = build_sawtooth_circuit(lattice)
-        engine = CircuitEngine(program)
-        noise = NoiseModel(config.epsilon, config.regime)
-        n_noisy = program.noisy_gate_count
-        if noise.regime == "static":
-            frozen = np.empty((n_members, n_noisy, PARAMS_PER_GATE))
-            for m, rng in enumerate(_member_gate_rngs(config)):
-                frozen[m] = rng.uniform(-noise.epsilon, noise.epsilon,
-                                        (n_noisy, PARAMS_PER_GATE))
-            rngs = None
-        else:
-            rngs = _member_gate_rngs(config)
-        params = np.empty((n_members, n_noisy, PARAMS_PER_GATE))
-        for t in range(1, config.t_max + 1):
-            ideal = prop.step(ideal)
-            if rngs is None:
-                params = frozen
-            else:
-                for m, rng in enumerate(rngs):
-                    params[m] = rng.uniform(-noise.epsilon, noise.epsilon,
-                                            (n_noisy, PARAMS_PER_GATE))
-            pert = engine.step_noisy(pert, params)
-            member_f[:, t] = np.abs(
-                np.sum(ideal[state_of_member].conj() * pert, axis=1)) ** 2
+    for t, pert in enumerate(islice(branch, config.t_max), 1):
+        ideal = prop.step(ideal)
+        member_f[:, t] = np.abs(
+            np.sum(ideal[state_of_member].conj() * pert, axis=1)) ** 2
 
     np.clip(member_f, 0.0, 1.0, out=member_f)
     f = member_f.mean(axis=0)
@@ -574,9 +587,13 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
 
 
 def _run_points(fn, args, jobs):
-    if jobs and jobs > 1:
+    """``fn`` over ``args``, on at most min(jobs, points, cores) workers."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, args))
     return [fn(a) for a in args]
 
@@ -610,34 +627,17 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
         raise ValueError("t must be >= 0")
     if mode not in ("analytic", "sampled"):
         raise ValueError("mode must be 'analytic' or 'sampled'")
-    lattice = config.lattice
+    if not 0 <= member < config.n_members:
+        raise ValueError(f"member must be in [0, {config.n_members})")
     state_index = member // config.n_noise
     ideal = _initial_block(replace(config, n_states=state_index + 1))
     psi = ideal[state_index]
 
     # |1>-branch: forward noisy evolution, then exact inverse
+    prop = BatchPropagator(config.lattice)
     branch = psi.copy().reshape(1, -1)
-    prop = BatchPropagator(lattice)
-    if config.channel == "classical":
-        dk_max = config.delta_K / lattice.T
-        rng = streams.stream(config.master_seed, streams.DOMAIN_CLASSICAL, member)
-        deltas = rng.uniform(-dk_max, dk_max, max(t, 1))
-        for step in range(t):
-            branch = prop.step(branch, deltas[step:step + 1])
-    else:
-        program = build_sawtooth_circuit(lattice)
-        engine = CircuitEngine(program)
-        rng = streams.stream(config.master_seed, streams.DOMAIN_GATE, member)
-        if config.regime == "static":
-            frozen = rng.uniform(-config.epsilon, config.epsilon,
-                                 (1, program.noisy_gate_count, PARAMS_PER_GATE))
-        for step in range(t):
-            if config.regime == "static":
-                params = frozen
-            else:
-                params = rng.uniform(-config.epsilon, config.epsilon,
-                                     (1, program.noisy_gate_count, PARAMS_PER_GATE))
-            branch = engine.step_noisy(branch, params)
+    for branch in islice(perturbed_branch(config, prop, branch, [member]), t):
+        pass
     for _ in range(t):
         branch = prop.step_inverse(branch)
 

@@ -27,7 +27,6 @@ __all__ = [
     "write_poincare",
     "write_records",
     "write_circuit",
-    "write_noise_log",
     "write_state",
     "read_state",
     "read_config",
@@ -158,21 +157,6 @@ def write_circuit(path, program, meta: dict | None = None,
                      "qubits": qubit_col, "angle": angle_col}, meta, timestamp)
 
 
-def write_noise_log(path, draws, meta: dict | None = None,
-                    timestamp: bool = True) -> None:
-    """Audit log of noisy-gate draws: `step, gate_position, params...`."""
-    width = max((len(d.params) for d in draws), default=0)
-    columns = {
-        "step": [d.step for d in draws],
-        "gate_position": [d.gate_position for d in draws],
-        "kind": [d.kind for d in draws],
-    }
-    for i in range(width):
-        columns[f"param{i}"] = [
-            d.params[i] if i < len(d.params) else "" for d in draws]
-    write_csv(path, columns, meta, timestamp)
-
-
 def write_state(path, state, timestamp: bool = True) -> None:
     """State snapshot as `index, re, im` with lattice metadata."""
     meta = {"nq": state.lattice.n_q, "K": state.lattice.K,
@@ -228,7 +212,11 @@ def read_config(path) -> dict:
 
 
 def config_metadata(config) -> dict:
-    """Flatten an experiment config into metadata/config-file keys."""
+    """Flatten an experiment config into metadata/config-file keys.
+
+    The keys the command line reads (``ensemble`` among them) make the
+    header of a result file a config that reruns the same experiment.
+    """
     lattice = config.lattice
     return {
         "nq": lattice.n_q,
@@ -244,5 +232,6 @@ def config_metadata(config) -> dict:
         "tmax": config.t_max,
         "n_states": config.n_states,
         "n_noise": config.n_noise,
+        "ensemble": config.n_members,
         "seed": config.master_seed,
     }

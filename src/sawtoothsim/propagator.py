@@ -15,14 +15,13 @@ a classical limit (it perturbs the map parameter), in contrast to the
 per-gate noise of :mod:`sawtoothsim.circuit`.
 
 ``BatchPropagator`` holds precomputed phase tables and advances a whole
-(members, N) ensemble per call; the ``QuantumState`` entry points wrap
-it for single states.
+(members, N) ensemble per call; ``step_exact`` is the single-state
+reference it is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,100 +37,28 @@ from .states import (
 )
 
 __all__ = [
-    "StepPerturbation",
-    "apply_kick",
-    "apply_rotation",
     "step_exact",
-    "step_exact_inverse",
-    "evolve",
     "BatchPropagator",
 ]
-
-
-@dataclass(frozen=True)
-class StepPerturbation:
-    """Per-step kick-strength noise delta_k(t), in k units.
-
-    The same physical schedule expressed in K units is
-    delta_K(t) = T delta_k(t); amplitudes convert with the lattice's T.
-    """
-
-    delta_k_max: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.delta_k_max < 0:
-            raise ValueError("delta_k_max must be >= 0")
-
-    def values(self, steps: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(-self.delta_k_max, self.delta_k_max, steps)
-
-
-def apply_kick(state: QuantumState, k_eff: float) -> QuantumState:
-    """Diagonal kick phase exp(i k_eff (theta - pi)^2 / 2) in the angle basis."""
-    if state.basis != ANGLE:
-        raise ValueError("apply_kick expects an angle-basis state")
-    theta = angle_values(state.lattice)
-    phase = np.exp(1j * k_eff * (theta - math.pi) ** 2 / 2.0)
-    return QuantumState(state.amps * phase, ANGLE, state.lattice)
-
-
-def apply_rotation(state: QuantumState, T: float) -> QuantumState:
-    """Diagonal free rotation exp(-i T n^2 / 2) in the momentum basis."""
-    if state.basis != MOMENTUM:
-        raise ValueError("apply_rotation expects a momentum-basis state")
-    n = momentum_values(state.lattice)
-    phase = np.exp(-1j * T * n.astype(float) ** 2 / 2.0)
-    return QuantumState(state.amps * phase, MOMENTUM, state.lattice)
 
 
 def step_exact(state: QuantumState, lattice: LatticeParams,
                delta_k: float = 0.0) -> QuantumState:
     """One full map step with kick strength k + delta_k.
 
-    Accepts and returns momentum-basis states.
+    Accepts and returns momentum-basis states.  Applies the two
+    diagonal factors in their own bases through explicit basis
+    changes, so it serves as the test reference for
+    :class:`BatchPropagator` and the gate circuit.
     """
     if state.lattice != lattice:
         raise ValueError("state lattice does not match")
-    kicked = apply_kick(to_angle(state), lattice.k + delta_k)
-    return apply_rotation(to_momentum(kicked), lattice.T)
-
-
-def step_exact_inverse(state: QuantumState, lattice: LatticeParams,
-                       delta_k: float = 0.0) -> QuantumState:
-    """Inverse map step: conjugate phases in reverse order."""
-    if state.lattice != lattice:
-        raise ValueError("state lattice does not match")
-    unrotated = apply_rotation(state, -lattice.T)
-    unkicked = apply_kick(to_angle(unrotated), -(lattice.k + delta_k))
-    return to_momentum(unkicked)
-
-
-def evolve(state: QuantumState, lattice: LatticeParams,
-           perturbation: StepPerturbation | None, t: int,
-           keep: str = "final"):
-    """Iterate the map t steps, optionally with per-step kick noise.
-
-    keep="final" returns (state_t, drawn_deltas); keep="all" returns
-    ([state_0 .. state_t], drawn_deltas).  The draw log makes any run
-    replayable from (initial state, schedule seed).
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if keep not in ("final", "all"):
-        raise ValueError("keep must be 'final' or 'all'")
-    deltas = (np.zeros(t) if perturbation is None
-              else perturbation.values(t))
-    states = [state]
-    current = state
-    for step in range(t):
-        current = step_exact(current, lattice, deltas[step])
-        if keep == "all":
-            states.append(current)
-    if keep == "all":
-        return states, deltas
-    return current, deltas
+    theta = angle_values(lattice)
+    kick = np.exp(1j * (lattice.k + delta_k) * (theta - math.pi) ** 2 / 2.0)
+    kicked = QuantumState(to_angle(state).amps * kick, ANGLE, lattice)
+    n = momentum_values(lattice)
+    rotation = np.exp(-1j * lattice.T * n.astype(float) ** 2 / 2.0)
+    return QuantumState(to_momentum(kicked).amps * rotation, MOMENTUM, lattice)
 
 
 class BatchPropagator:

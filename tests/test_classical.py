@@ -7,7 +7,6 @@ import pytest
 
 from sawtoothsim.classical import (
     ClassicalParams,
-    KickNoiseSchedule,
     PhasePoint,
     frequency_shift,
     island_frequency,
@@ -15,13 +14,27 @@ from sawtoothsim.classical import (
     lyapunov_exponent,
     lyapunov_numeric,
     poincare_section,
+    step_array,
     step_classical,
     torus_distance,
     trajectory,
-    trajectory_perturbed,
 )
+from sawtoothsim.experiments import ExperimentConfig, noise_blocks
+from sawtoothsim.states import LatticeParams
 
 PI = math.pi
+
+
+def perturbed_trajectory(point, K, deltaK_max, steps, seed=3):
+    """Orbit with K replaced by K + delta_K(t), delta_K(t) uniform per step."""
+    deltas = np.random.default_rng(seed).uniform(-deltaK_max, deltaK_max, steps)
+    out = np.empty((steps + 1, 2))
+    theta, p = point.theta, point.p
+    out[0] = theta, p
+    for t in range(1, steps + 1):
+        theta, p = step_array(theta, p, K + deltas[t - 1])
+        out[t] = theta, p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +122,7 @@ def test_orbit_separation_grows_at_lyapunov_rate():
     lam = lyapunov_exponent(K)
     seed = PhasePoint(2.0, 0.5)
     base = trajectory(seed, ClassicalParams(K=K), 400)
-    pert = trajectory_perturbed(seed, ClassicalParams(K=K),
-                                KickNoiseSchedule(1e-6, seed=3), 400)
+    pert = perturbed_trajectory(seed, K, 1e-6, 400)
     dist = torus_distance(base, pert)
     mask = (dist > 1e-5) & (dist < 1e-1)
     ts = np.nonzero(mask)[0]
@@ -122,8 +134,7 @@ def test_island_separation_stays_small():
     K = -0.5
     seed = PhasePoint(PI + 1.0, 0.0)
     base = trajectory(seed, ClassicalParams(K=K), 1000)
-    pert = trajectory_perturbed(seed, ClassicalParams(K=K),
-                                KickNoiseSchedule(1e-6, seed=3), 1000)
+    pert = perturbed_trajectory(seed, K, 1e-6, 1000)
     dist = torus_distance(base, pert)
     assert dist.max() < 1e-2
 
@@ -199,21 +210,21 @@ def test_poincare_rejects_zero_steps():
         poincare_section([PhasePoint(1.0, 0.0)], ClassicalParams(K=0.5), 0)
 
 
-def test_trajectory_perturbed_zero_noise_identical():
-    seed = PhasePoint(2.0, 0.5)
-    params = ClassicalParams(K=0.7)
-    base = trajectory(seed, params, 200)
-    pert = trajectory_perturbed(seed, params, KickNoiseSchedule(0.0), 200)
-    assert np.array_equal(base, pert)
-
-
 def test_kick_noise_schedule():
-    sched = KickNoiseSchedule(2e-3, seed=11)
-    vals = sched.values(500)
+    # the kick-noise source of the experiments, in K units
+    lattice = LatticeParams(n_q=6, K=0.7)
+
+    def schedule(seed):
+        config = ExperimentConfig(lattice=lattice, channel="classical",
+                                  delta_K=2e-3, master_seed=seed)
+        blocks = noise_blocks(config, [0], ())
+        return np.array([next(blocks)[0] for _ in range(500)]) * lattice.T
+
+    vals = schedule(11)
     assert vals.shape == (500,)
-    assert np.abs(vals).max() <= 2e-3
-    assert np.array_equal(vals, KickNoiseSchedule(2e-3, seed=11).values(500))
-    assert not np.array_equal(vals, KickNoiseSchedule(2e-3, seed=12).values(500))
+    assert np.abs(vals).max() <= 2e-3 * (1 + 1e-12)
+    assert np.array_equal(vals, schedule(11))
+    assert not np.array_equal(vals, schedule(12))
 
 
 def test_torus_distance_wraps():

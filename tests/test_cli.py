@@ -170,6 +170,24 @@ class TestFidelity:
         assert meta["tmax"] == "10"     # flag wins over the file
         assert len(data_rows(out)) == 11
 
+    @pytest.mark.parametrize("flags", [
+        ("--epsilon", "0.05", "--regime", "static"),
+        ("--deltaK", "0.05", "--theta0", "1.0", "--initial", "random")])
+    def test_header_reruns_as_config(self, tmp_path, flags):
+        # a result header with its comment markers stripped is a config
+        # file that reproduces the result byte for byte
+        first = tmp_path / "first.csv"
+        assert run("fidelity", "--nq", "4", "--K", "0.7", "--tmax", "15",
+                   "--ensemble", "3", "--seed", "5", *flags,
+                   "--out", str(first), "--no-timestamp") == 0
+        header = [ln[2:] for ln in read_lines(first) if ln.startswith("# ")]
+        cfg = tmp_path / "rerun.cfg"
+        cfg.write_text("\n".join(header) + "\n")
+        second = tmp_path / "second.csv"
+        assert run("fidelity", "--config", str(cfg), "--out", str(second),
+                   "--no-timestamp") == 0
+        assert second.read_bytes() == first.read_bytes()
+
     def test_missing_config_file(self, tmp_path):
         assert run("fidelity", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "x.csv")) == 1
@@ -185,6 +203,11 @@ class TestSweepCommands:
         assert lines[0] == "n_q, epsilon, t_f, collapse"
         assert len(lines) == 2
         assert "mean collapse" in capsys.readouterr().out
+
+    def test_jobs_below_one_rejected(self, tmp_path):
+        assert run("tf-scan", "--nq", "4", "--epsilon", "0.05", "--K", "5",
+                   "--ensemble", "2", "--jobs", "0",
+                   "--out", str(tmp_path / "tf.csv")) == 1
 
     def test_rate_vs_k_tiny(self, tmp_path):
         out = tmp_path / "rates.csv"

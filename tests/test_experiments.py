@@ -1,10 +1,14 @@
 """Fidelity experiments: curves, decay fits, time scales, sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sawtoothsim import streams
 from sawtoothsim.experiments import (
     DEFAULT_FIT_WINDOW,
     ExperimentConfig,
@@ -184,14 +188,22 @@ class TestFidelityCurve:
                 epsilon=0.03, t_max=15, n_noise=3, master_seed=12))
         assert not np.array_equal(a.member_f, c.member_f)
 
-    def test_members_stable_under_ensemble_growth(self):
+    @settings(max_examples=12, deadline=None)
+    @given(channel=st.sampled_from(["quantum", "classical"]),
+           regime=st.sampled_from(["memoryless", "static"]),
+           initial=st.sampled_from(["random", "gaussian"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_members_stable_under_ensemble_growth(self, channel, regime,
+                                                  initial, seed):
         # growing n_states appends members without touching earlier rows
-        base = dict(channel="quantum", epsilon=0.03, t_max=12, n_noise=2,
-                    master_seed=7, initial="random")
+        base = dict(channel=channel, regime=regime, initial=initial,
+                    theta0=None, epsilon=0.03 if channel == "quantum" else 0.0,
+                    delta_K=0.05 if channel == "classical" else 0.0,
+                    t_max=8, n_noise=2, master_seed=seed)
         small = fidelity_curve(ExperimentConfig(
             lattice=LatticeParams(n_q=4, K=0.5), n_states=1, **base))
         large = fidelity_curve(ExperimentConfig(
-            lattice=LatticeParams(n_q=4, K=0.5), n_states=2, **base))
+            lattice=LatticeParams(n_q=4, K=0.5), n_states=3, **base))
         assert np.array_equal(large.member_f[:2], small.member_f)
 
     def test_static_differs_from_memoryless(self):
@@ -240,6 +252,15 @@ class TestFidelityCurve:
             ExperimentConfig(lattice=lat, t_max=0)
         with pytest.raises(ValueError):
             ExperimentConfig(lattice=lat, n_states=0)
+        # regime applies to both channels and has exactly two values
+        for channel in ("quantum", "classical"):
+            with pytest.raises(ValueError):
+                ExperimentConfig(lattice=lat, channel=channel, regime="bogus")
+        for bad in (-1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ExperimentConfig(lattice=lat, epsilon=bad)
+            with pytest.raises(ValueError):
+                ExperimentConfig(lattice=lat, channel="classical", delta_K=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +356,23 @@ class TestIslandDecayShape:
         assert gauss_fit.r_squared > exp_fit.r_squared
         assert gauss_fit.r_squared > 0.98
 
+    def test_static_kick_regime_is_a_frozen_detuning(self):
+        # regime="static" on the classical channel freezes one detuning
+        # per member: the curve is the fixed-detuning pair fidelity at
+        # that member's first kick-noise draw
+        lattice = LatticeParams(n_q=8, K=-0.5)
+        config = ExperimentConfig(
+            lattice=lattice, channel="classical", delta_K=0.03,
+            regime="static", theta0=1.0, p0=0.0, t_max=200, master_seed=4)
+        dk_max = config.delta_K / lattice.T
+        frozen = streams.stream(4, streams.DOMAIN_CLASSICAL, 0).uniform(
+            -dk_max, dk_max)
+        _, f = island_pair_fidelity(8, [frozen], 200)
+        static = fidelity_curve(config)
+        assert np.max(np.abs(static.member_f[0] - f[0])) < 1e-12
+        fresh = fidelity_curve(replace(config, regime="memoryless"))
+        assert np.max(np.abs(static.f - fresh.f)) > 1e-3
+
     def test_detuning_mixture_masks_gaussian(self):
         # averaging Gaussians of different widths fattens the tail;
         # on the standard window the exponential model then wins even
@@ -367,10 +405,16 @@ class TestSweeps:
         assert all(r.collapse is not None for r in recs)
 
     def test_parallel_matches_serial(self):
-        serial = sweep_tf([4], [0.05], K=5.0, n_noise=4, master_seed=9, jobs=1)
-        parallel = sweep_tf([4], [0.05], K=5.0, n_noise=4, master_seed=9,
-                            jobs=2)
+        # two points, so two workers run when two cores are available
+        serial = sweep_tf([4], [0.05, 0.06], K=5.0, n_noise=4, master_seed=9,
+                          jobs=1)
+        parallel = sweep_tf([4], [0.05, 0.06], K=5.0, n_noise=4,
+                            master_seed=9, jobs=2)
         assert [r.t_f for r in serial] == [r.t_f for r in parallel]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            sweep_tf([4], [0.05], K=5.0, n_noise=2, jobs=0)
 
     def test_rate_sweep_records(self):
         recs = sweep_rate_vs_K(
@@ -447,3 +491,6 @@ class TestScatteringFidelity:
             scattering_fidelity(config, 2, mode="weak")
         with pytest.raises(ValueError):
             scattering_fidelity(config, 2, mode="sampled", shots=0)
+        for member in (-1, config.n_members):
+            with pytest.raises(ValueError):
+                scattering_fidelity(config, 2, member=member)

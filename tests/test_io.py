@@ -10,9 +10,7 @@ from sawtoothsim.circuit import (
     BITREV,
     CPHASE,
     HADAMARD,
-    NoiseModel,
     build_sawtooth_circuit,
-    log_noise_draws,
 )
 from sawtoothsim.experiments import FidelityCurve, TfRecord
 from sawtoothsim.io import (
@@ -24,7 +22,6 @@ from sawtoothsim.io import (
     write_csv,
     write_curve,
     write_json,
-    write_noise_log,
     write_poincare,
     write_records,
     write_state,
@@ -166,23 +163,6 @@ class TestCircuitFiles:
         assert HADAMARD in kinds and CPHASE in kinds and BITREV in kinds
         two_qubit = [r for r in rows if r[1] == CPHASE]
         assert all(len(r[2].split(" ")) == 2 for r in two_qubit)
-
-    def test_noise_log(self, tmp_path):
-        lattice = LatticeParams(n_q=2, K=0.5)
-        program = build_sawtooth_circuit(lattice)
-        noise = NoiseModel(0.01, "static")
-        draws = log_noise_draws(program, noise, steps=2)
-        path = tmp_path / "noise.csv"
-        write_noise_log(path, draws, timestamp=False)
-        header = header_line(path)
-        assert header.startswith("step, gate_position, kind, param0")
-        rows = [line.split(", ") for line in read_lines(path)[1:]]
-        assert len(rows) == len(draws)
-        # Hadamard rows consume two parameters, so trailing slots stay blank
-        h_row = next(r for r in rows if r[2] == HADAMARD)
-        assert h_row[-1] == "" and h_row[-2] == ""
-        cp_row = next(r for r in rows if r[2] == CPHASE)
-        assert cp_row[-1] != ""
 
 
 class TestStateSnapshots:

@@ -1,29 +1,26 @@
 """Split-operator evolution: diagonal factors, steps, reversibility."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sawtoothsim import streams
 from sawtoothsim.classical import ClassicalParams, PhasePoint, step_classical
-from sawtoothsim.propagator import (
-    BatchPropagator,
-    StepPerturbation,
-    apply_kick,
-    apply_rotation,
-    evolve,
-    step_exact,
-    step_exact_inverse,
-)
+from sawtoothsim.experiments import ExperimentConfig, noise_blocks, perturbed_branch
+from sawtoothsim.propagator import BatchPropagator, step_exact
 from sawtoothsim.states import (
+    MOMENTUM,
     LatticeParams,
+    QuantumState,
     WavePacketSpec,
     angle_moments,
     gaussian_packet,
     momentum_moments,
+    momentum_values,
     random_state,
     to_angle,
-    to_momentum,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -33,69 +30,86 @@ TWO_PI = 2.0 * math.pi
 # diagonal factors
 # ---------------------------------------------------------------------------
 
+def kick(prop, amps, strength):
+    """The bare kick exp(i strength (theta - pi)^2 / 2) of a step.
+
+    A step at detuning ``strength`` followed by the noiseless inverse
+    step cancels the rotation and the base kick k, leaving the extra
+    kick phase on the angle representation ifft(amps).
+    """
+    members = amps.shape[0]
+    return prop.step_inverse(prop.step(amps, np.full(members, strength)))
+
+
+def block(lat, seed, members=1):
+    return np.stack([random_state(lat, seed=seed + m).amps
+                     for m in range(members)])
+
+
 def test_kick_zero_is_identity():
+    # a detuning of -k switches the kick off: the step is the bare rotation
     lat = LatticeParams(n_q=6, K=0.4)
-    psi = to_angle(random_state(lat, seed=1))
-    out = apply_kick(psi, 0.0)
-    assert np.array_equal(out.amps, psi.amps)
+    psi = random_state(lat, seed=1)
+    out = step_exact(psi, lat, delta_k=-lat.k)
+    n = momentum_values(lat).astype(float)
+    rotated = psi.amps * np.exp(-1j * lat.T * n * n / 2.0)
+    assert np.max(np.abs(out.amps - rotated)) < 1e-13
 
 
 def test_kick_preserves_moduli():
     lat = LatticeParams(n_q=6, K=0.4)
-    psi = to_angle(random_state(lat, seed=2))
-    out = apply_kick(psi, 3.7)
-    assert np.allclose(np.abs(out.amps), np.abs(psi.amps), atol=1e-14)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=2)
+    out = kick(prop, amps, 3.7)
+    assert np.allclose(np.abs(np.fft.ifft(out)), np.abs(np.fft.ifft(amps)),
+                       atol=1e-14)
+    assert not np.allclose(out, amps)
 
 
 def test_kick_inverse_round_trip():
     lat = LatticeParams(n_q=6, K=0.4)
-    psi = to_angle(random_state(lat, seed=3))
-    out = apply_kick(apply_kick(psi, lat.k), -lat.k)
-    assert np.max(np.abs(out.amps - psi.amps)) < 1e-12
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=3)
+    out = kick(prop, kick(prop, amps, lat.k), -lat.k)
+    assert np.max(np.abs(out - amps)) < 1e-12
 
 
 def test_kick_composition():
     lat = LatticeParams(n_q=7, K=0.4)
-    psi = to_angle(random_state(lat, seed=4))
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=4)
     a, b = 1.3, -0.45
-    two = apply_kick(apply_kick(psi, a), b)
-    one = apply_kick(psi, a + b)
-    assert np.max(np.abs(two.amps - one.amps)) < 1e-12
-
-
-def test_kick_rejects_momentum_basis():
-    lat = LatticeParams(n_q=4, K=0.4)
-    with pytest.raises(ValueError):
-        apply_kick(random_state(lat, seed=0), 1.0)
-
-
-def test_rotation_zero_is_identity():
-    lat = LatticeParams(n_q=6, K=0.4)
-    psi = random_state(lat, seed=5)
-    assert np.array_equal(apply_rotation(psi, 0.0).amps, psi.amps)
+    two = kick(prop, kick(prop, amps, a), b)
+    one = kick(prop, amps, a + b)
+    assert np.max(np.abs(two - one)) < 1e-12
 
 
 def test_rotation_leaves_n0_invariant():
     lat = LatticeParams(n_q=6, K=0.4)
     amps = np.zeros(lat.N, dtype=complex)
     amps[lat.N // 2] = 1.0  # n = 0 level
-    from sawtoothsim.states import MOMENTUM, QuantumState
     psi = QuantumState(amps, MOMENTUM, lat)
-    out = apply_rotation(psi, lat.T)
+    out = step_exact(psi, lat, delta_k=-lat.k)  # kick switched off
     assert np.max(np.abs(out.amps - psi.amps)) < 1e-14
 
 
 def test_rotation_inverse_round_trip():
+    # with the kick switched off, step and inverse step are the
+    # rotation and its inverse
     lat = LatticeParams(n_q=6, K=0.4)
-    psi = random_state(lat, seed=6)
-    out = apply_rotation(apply_rotation(psi, lat.T), -lat.T)
-    assert np.max(np.abs(out.amps - psi.amps)) < 1e-12
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=6)
+    off = np.array([-lat.k])
+    rotated = prop.step(amps, off)
+    assert not np.allclose(rotated, amps)
+    out = prop.step_inverse(rotated, off)
+    assert np.max(np.abs(out - amps)) < 1e-12
 
 
 def test_rotation_rejects_angle_basis():
     lat = LatticeParams(n_q=4, K=0.4)
     with pytest.raises(ValueError):
-        apply_rotation(to_angle(random_state(lat, seed=0)), lat.T)
+        step_exact(to_angle(random_state(lat, seed=0)), lat)
 
 
 # ---------------------------------------------------------------------------
@@ -144,52 +158,70 @@ def test_island_packet_oscillates():
     assert np.max(np.abs(means)) > 0.3
 
 
+def kick_config(lat, delta_K, regime="memoryless", seed=5):
+    return ExperimentConfig(lattice=lat, channel="classical", delta_K=delta_K,
+                            regime=regime, master_seed=seed)
+
+
 def test_evolve_contracts():
     lat = LatticeParams(n_q=6, K=0.3)
-    psi = random_state(lat, seed=8)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=8)
 
-    final, deltas = evolve(psi, lat, None, 0)
-    assert np.array_equal(final.amps, psi.amps)
-    assert deltas.size == 0
+    # zero steps consume nothing and leave the block alone
+    branch = perturbed_branch(kick_config(lat, 0.2), prop, amps.copy(), [0])
+    assert list(itertools.islice(branch, 0)) == []
 
-    pert0 = StepPerturbation(0.0, seed=1)
-    with_pert, _ = evolve(psi, lat, pert0, 25)
-    without, _ = evolve(psi, lat, None, 25)
-    assert np.max(np.abs(with_pert.amps - without.amps)) < 1e-14
+    # a zero amplitude reproduces the noiseless evolution exactly
+    branch = perturbed_branch(kick_config(lat, 0.0), prop, amps.copy(), [0])
+    plain = amps
+    for pert in itertools.islice(branch, 25):
+        plain = prop.step(plain)
+        assert np.array_equal(pert, plain)
 
 
 def test_evolve_keep_all_and_delta_log():
+    # the branch yields every intermediate state, and the kick
+    # detunings it consumed are the member's stream drawn step by step,
+    # equal to one bulk draw of the same stream
     lat = LatticeParams(n_q=6, K=0.3)
-    psi = random_state(lat, seed=9)
-    pert = StepPerturbation(0.2, seed=5)
-    states, deltas = evolve(psi, lat, pert, 12, keep="all")
-    assert len(states) == 13
-    assert deltas.shape == (12,)
+    config = kick_config(lat, 0.2 * lat.T)
+    states = [s.copy() for s in itertools.islice(
+        perturbed_branch(config, BatchPropagator(lat), block(lat, seed=9), [3]),
+        12)]
+    assert len(states) == 12
+    blocks = noise_blocks(config, [3], ())
+    deltas = np.array([next(blocks)[0] for _ in range(12)])
     assert np.abs(deltas).max() <= 0.2
-    assert np.array_equal(deltas, StepPerturbation(0.2, seed=5).values(12))
+    bulk = streams.stream(5, streams.DOMAIN_CLASSICAL, 3).uniform(-0.2, 0.2, 12)
+    assert np.array_equal(deltas, bulk)
 
 
 def test_evolve_matches_manual_steps_bitwise():
     lat = LatticeParams(n_q=6, K=0.3)
-    psi = random_state(lat, seed=10)
-    pert = StepPerturbation(0.1, seed=6)
-    final, deltas = evolve(psi, lat, pert, 8)
-    manual = psi
-    for dk in deltas:
-        manual = step_exact(manual, lat, dk)
-    assert np.array_equal(final.amps, manual.amps)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=10, members=2)
+    config = kick_config(lat, 0.1 * lat.T, seed=6)
+    branch = perturbed_branch(config, prop, amps.copy(), [0, 1])
+    final = list(itertools.islice(branch, 8))[-1]
+    manual = amps
+    rngs = [streams.stream(6, streams.DOMAIN_CLASSICAL, m) for m in (0, 1)]
+    for _ in range(8):
+        manual = prop.step(manual, [rng.uniform(-0.1, 0.1) for rng in rngs])
+    assert np.array_equal(final, manual)
 
 
 def test_time_reversal():
     lat = LatticeParams(n_q=8, K=0.3)
-    psi = random_state(lat, seed=11)
-    forward = psi
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=11)
+    forward = amps
     for _ in range(50):
-        forward = step_exact(forward, lat)
+        forward = prop.step(forward)
     back = forward
     for _ in range(50):
-        back = step_exact_inverse(back, lat)
-    f = abs(np.vdot(psi.amps, back.amps)) ** 2
+        back = prop.step_inverse(back)
+    f = abs(np.vdot(amps[0], back[0])) ** 2
     assert f > 1 - 1e-10
 
 
@@ -238,7 +270,18 @@ def test_batch_inverse_round_trip():
 
 
 def test_step_perturbation_bounds():
-    pert = StepPerturbation(0.3, seed=2)
-    vals = pert.values(1000)
-    assert np.abs(vals).max() <= 0.3
-    assert np.array_equal(vals, StepPerturbation(0.3, seed=2).values(1000))
+    lat = LatticeParams(n_q=6, K=0.3)
+    dk_max = 0.3
+
+    def draws(regime, seed):
+        blocks = noise_blocks(kick_config(lat, dk_max * lat.T, regime, seed),
+                              [0, 1], ())
+        return np.array([next(blocks).copy() for _ in range(500)])
+
+    vals = draws("memoryless", 2)
+    assert vals.shape == (500, 2)
+    assert np.abs(vals).max() <= dk_max
+    assert np.array_equal(vals, draws("memoryless", 2))
+    # the static regime freezes each member's first detuning
+    frozen = draws("static", 2)
+    assert np.array_equal(frozen, np.tile(vals[0], (500, 1)))
