@@ -35,6 +35,18 @@ drawn parameters as an argument; whether they are redrawn every step
 (memoryless) or frozen (static) is decided by the noise source in
 :mod:`sawtoothsim.experiments`.  A zero parameter block gives the
 noiseless circuit.
+
+Engine: :class:`CircuitEngine` compiles a program once.  Diagonal gates
+between two Hadamards commute, and each noisy one adds a phase that is
+affine in its sector bits, so a run of them collapses, per member, into
+one phase table over the bits it touches: a constant plus linear and
+pairwise bit terms whose coefficients are fixed angles plus signed sums
+of drawn parameters.  A bit reversal only relabels which physical bit
+carries each qubit.  One sawtooth step is then 2 n_q tilted Hadamards
+and 2 n_q phase tables (the ladder runs span 2^(t+1) entries, the kick
+and rotation runs the whole register), with no permutation, since the
+two reversals cancel.  A gate-by-gate executor in the tests is the
+reference the engine is checked against.
 """
 
 from __future__ import annotations
@@ -110,12 +122,8 @@ class CircuitProgram:
 
     @property
     def noisy_gate_count(self) -> int:
+        """Gates that draw noise; n_g = 3 n_q^2 + n_q for a sawtooth step."""
         return self.hadamard_count + self.cphase_count
-
-    @property
-    def gate_count(self) -> int:
-        """Total counted gates n_g = 3 n_q^2 + n_q."""
-        return self.noisy_gate_count
 
 
 def build_sawtooth_circuit(lattice: LatticeParams) -> CircuitProgram:
@@ -207,73 +215,202 @@ def _apply_h_tilted(amps, n_q, t, nu1, nu2):
     v[:, :, 1, :] = ep * a - c * b
 
 
-def _cp_views(amps, n_q, qa, qb):
-    m = amps.shape[0]
-    hi, lo = max(qa, qb), min(qa, qb)
-    return amps.reshape(m, 1 << (n_q - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+class _DiagonalRun:
+    """Phase of a run of consecutive diagonal gates, over physical bits.
 
-
-def _apply_cp_noisy(amps, n_q, control, target, angle, eps):
-    """Ideal controlled-phase followed by sector dephasing.
-
-    eps has shape (members, 4); sectors are labelled by the
-    (control bit, target bit) pair as 00, 01, 10, 11, with the drawn
-    phase eps[:, 3] joining the ideal angle on the 11 sector.
+    A basis index with bits b_j picks up the phase
+    const + sum_j a_j b_j + sum_{i<j} a_ij b_i b_j, and every
+    coefficient is a fixed angle plus a signed sum of drawn gate
+    parameters.  Keys name the coefficients: () the constant, (j,) a
+    linear and (i, j) a quadratic one.
     """
-    v = _cp_views(amps, n_q, control, target)
-    hi = max(control, target)
-    ph = np.exp(1j * eps)
 
-    def sector(bc, bt):
-        bh, bl = (bc, bt) if control == hi else (bt, bc)
-        return v[:, :, bh, :, bl, :]
+    def __init__(self):
+        self.angles = {}  # key -> fixed angle
+        self.terms = []  # (key, flat parameter index, sign)
 
-    sector(0, 0)[...] *= ph[:, 0, None, None, None]
-    sector(0, 1)[...] *= ph[:, 1, None, None, None]
-    sector(1, 0)[...] *= ph[:, 2, None, None, None]
-    sector(1, 1)[...] *= (np.exp(1j * angle) * ph[:, 3])[:, None, None, None]
+    def _add(self, gi, angle_key, angle, expansion):
+        for key, k, sign in expansion:
+            self.angles.setdefault(key, 0.0)
+            self.terms.append((key, gi * PARAMS_PER_GATE + k, sign))
+        self.angles[angle_key] += angle
+
+    def cphase(self, c, t, angle, gi):
+        """Noisy cphase on bits c, t, its sector phases expanded as
+
+        e00 + (e10 - e00) b_c + (e01 - e00) b_t
+            + (angle + e11 - e10 - e01 + e00) b_c b_t,
+        with sectors (b_c b_t) = 00, 01, 10, 11 at parameters 0..3.
+        """
+        q = (min(c, t), max(c, t))
+        self._add(gi, q, angle, (
+            ((), 0, 1.0), ((c,), 2, 1.0), ((c,), 0, -1.0), ((t,), 1, 1.0),
+            ((t,), 0, -1.0), (q, 3, 1.0), (q, 2, -1.0), (q, 1, -1.0),
+            (q, 0, 1.0)))
+
+    def phase(self, t, angle, gi):
+        """Noisy phase gate on bit t: e0 + (angle + e1 - e0) b_t."""
+        self._add(gi, (t,), angle,
+                  (((), 0, 1.0), ((t,), 1, 1.0), ((t,), 0, -1.0)))
 
 
-def _apply_p1_noisy(amps, n_q, t, angle, eps):
-    """Phase gate with independent dephasing on both of its sectors."""
-    v = _qubit_views(amps, n_q, t)
-    v[:, :, 0, :] *= np.exp(1j * eps[:, 0])[:, None, None]
-    v[:, :, 1, :] *= np.exp(1j * (angle + eps[:, 1]))[:, None, None]
+def _doubled(lower, factor):
+    """[lower, lower * factor] along the last axis.
+
+    The product goes to a fresh buffer: numpy runs a multiply whose
+    output shares a buffer with an input through a buffered loop that
+    rounds differently, and only for blocks of more than one member,
+    so an in-place doubling would make a member's row depend on the
+    size of its block.
+    """
+    m, size = lower.shape
+    out = np.empty((m, 2, size), dtype=complex)
+    out[:, 0] = lower
+    np.multiply(lower, factor, out=out[:, 1])
+    return out.reshape(m, 2 * size)
+
+
+def _bit_factor(phases, lin, quads):
+    """Phase factor of setting bit j, as a function of the bits below it.
+
+    (members, 2^j) table, or (members, 1) when the run couples bit j
+    to no lower bit: the linear factor times the quadratic factors of
+    the lower bits that are set.
+    """
+    f = phases[:, lin, None]
+    if any(s is not None for s in quads):
+        for s in quads:
+            f = np.hstack((f, f)) if s is None else _doubled(f, phases[:, s, None])
+    return f
+
+
+def _phase_table(phases, const, bits):
+    """(members, 2^len(bits)) phase factors of a diagonal run, by doubling.
+
+    ``phases`` holds exp(i coefficient) per member and slot; ``bits``
+    gives, for each bit j, its linear slot and its quadratic slots with
+    the bits i < j (None where the run has no such term).
+    """
+    table = phases[:, const, None]
+    for lin, quads in bits:
+        if lin is None:  # a bit the run leaves alone
+            table = np.hstack((table, table))
+        else:
+            table = _doubled(table, _bit_factor(phases, lin, quads))
+    return table
+
+
+def _apply_run(amps, phases, const, bits):
+    """Multiply ``amps`` by the phases of one diagonal run, in place.
+
+    The table covers the bits below the run's highest bit, and the
+    highest bit's factor then multiplies the upper half in place, so
+    no full-size table is built.  A one-bit run applies its two-entry
+    table whole: an in-place multiply that reaches one amplitude per
+    member loops over the members, and numpy rounds that loop
+    differently for one member than for several.
+    """
+    m = amps.shape[0]
+    if len(bits) == 1:
+        view = amps.reshape(m, -1, 2)
+        view *= _phase_table(phases, const, bits)[:, None, :]
+        return
+    *low, (lin, quads) = bits
+    table = _phase_table(phases, const, low)
+    view = amps.reshape(m, -1, 2, table.shape[1])
+    view *= table[:, None, None, :]
+    upper = view[:, :, 1, :]
+    upper *= _bit_factor(phases, lin, quads)[:, None, :]
 
 
 class CircuitEngine:
     """Executes a program on (members, N) amplitude blocks in place.
 
-    One engine instance precomputes the bit-reversal permutation and
-    walks the gate list; parameters for noisy runs arrive as a
-    (members, noisy_gate_count, 4) block per step.
+    The program is compiled once into segments: one tilted Hadamard
+    per Hadamard gate, and one phase table per run of consecutive
+    diagonal gates (cphase and phase gates, across bit reversals too).
+    A bit reversal moves no data: it relabels the qubits, and later
+    gates act on the physical bit their qubit sits on.  Only a program
+    that ends with its qubits reversed permutes the block, once.  The
+    program's phase offset joins the constant of the last run.
+
+    Parameters arrive as a (members, noisy_gate_count, 4) block per
+    step.  Every operation across members is elementwise or a
+    per-member reduction, so a member's row does not depend on which
+    other members share its block.
     """
 
     def __init__(self, program: CircuitProgram):
         self.program = program
-        self.n_q = program.n_q
-        self.perm = bit_reversal_permutation(program.n_q)
-        self.offset_phase = complex(np.exp(1j * program.phase_offset))
+        self.n_q = n_q = program.n_q
+        # ("h", bit, gate index) or ("d", constant slot, per-bit slots)
+        self.segments = []
+        runs = []
+        flipped = False
+        gi = 0
+        for g in program.gates:
+            if g.kind == BITREV:
+                flipped = not flipped
+                continue
+            c, t = (n_q - 1 - q if flipped else q for q in (g.control, g.target))
+            if g.kind == HADAMARD:
+                self.segments.append(("h", t, gi))
+            else:
+                if not self.segments or self.segments[-1][0] != "d":
+                    runs.append(_DiagonalRun())
+                    self.segments.append(("d", runs[-1], None))
+                if g.kind == CPHASE:
+                    runs[-1].cphase(c, t, g.angle, gi)
+                else:
+                    runs[-1].phase(t, g.angle, gi)
+            gi += 1
+        self.reversed = flipped
+        self._perm = None  # built at the first step that needs it
+        self._scale = None
+        if runs:
+            runs[-1].angles[()] += program.phase_offset
+        elif program.phase_offset != 0.0:
+            self._scale = complex(np.exp(1j * program.phase_offset))
+
+        # every coefficient of every run gets a slot; one gather and
+        # one per-slot reduction compute them all
+        angles, terms = [], []
+        for pos, (kind, run, _) in enumerate(self.segments):
+            if kind != "d":
+                continue
+            slot = {key: len(angles) + n for n, key in enumerate(run.angles)}
+            angles += run.angles.values()
+            terms += [(slot[key], p, sign) for key, p, sign in run.terms]
+            h = 1 + max(max(key) for key in run.angles if key)
+            bits = [(slot.get((j,)), [slot.get((i, j)) for i in range(j)])
+                    for j in range(h)]
+            self.segments[pos] = ("d", slot[()], bits)
+        terms.sort(key=lambda term: term[0])
+        self._angles = np.array(angles)
+        self._params = np.array([p for _, p, _ in terms], dtype=np.intp)
+        self._signs = np.array([sign for _, _, sign in terms])
+        self._starts = np.flatnonzero(np.diff([-1] + [s for s, _, _ in terms]))
 
     def step_noisy(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         """params: (members, noisy_gate_count, 4) in program gate order."""
         n_q = self.n_q
-        gi = 0
-        for g in self.program.gates:
-            if g.kind == HADAMARD:
-                _apply_h_tilted(amps, n_q, g.target,
-                                params[:, gi, 0], params[:, gi, 1])
-                gi += 1
-            elif g.kind == CPHASE:
-                _apply_cp_noisy(amps, n_q, g.control, g.target, g.angle,
-                                params[:, gi, :])
-                gi += 1
-            elif g.kind == PHASE1:
-                _apply_p1_noisy(amps, n_q, g.target, g.angle, params[:, gi, :])
-                gi += 1
+        m = amps.shape[0]
+        if self._angles.size:
+            coef = np.add.reduceat(params.reshape(m, -1)[:, self._params]
+                                   * self._signs, self._starts, axis=1)
+            coef += self._angles
+            phases = np.exp(1j * coef)
+        for kind, a, b in self.segments:
+            if kind == "h":
+                _apply_h_tilted(amps, n_q, a, params[:, b, 0], params[:, b, 1])
             else:
-                amps = np.ascontiguousarray(amps[:, self.perm])
-        amps *= self.offset_phase
+                _apply_run(amps, phases, a, b)
+        if self._scale is not None:
+            amps *= self._scale
+        if self.reversed:
+            if self._perm is None:
+                self._perm = bit_reversal_permutation(n_q)
+            amps = np.ascontiguousarray(amps[:, self._perm])
         return amps
 
 

@@ -263,7 +263,7 @@ def cmd_fidelity(opts: Options) -> int:
     curve = fidelity_curve(config)
     program = build_sawtooth_circuit(config.lattice)
     summary = {
-        "n_g": program.gate_count,
+        "n_g": program.noisy_gate_count,
         "lyapunov": lyapunov_exponent(config.lattice.K),
         "f_final": float(curve.f[-1]),
     }
@@ -324,8 +324,11 @@ def cmd_tf_scan(opts: Options) -> int:
         "collapse": [r.collapse for r in records],
     }
     sio.write_csv(out, columns, meta, opts.timestamp)
-    mean_collapse = collapse_constant(records)
     print(f"wrote {len(records)} grid points to {out}")
+    if all(math.isnan(r.t_f) for r in records):
+        print("numerical failure: no grid point crossed f = 0.9", file=sys.stderr)
+        return EXIT_RUNTIME
+    mean_collapse = collapse_constant(records)
     print(f"mean collapse t_f * eps^2 * nq^2 = {mean_collapse:.4f}")
     return EXIT_OK
 
@@ -351,6 +354,9 @@ def cmd_rate_vs_k(opts: Options) -> int:
     }
     sio.write_csv(out, columns, meta, opts.timestamp)
     print(f"wrote {len(records)} (K, kind) rates to {out}")
+    if all(math.isnan(r.rate) for r in records):
+        print("numerical failure: no grid point could be fitted", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ state.  Two perturbation channels are supported:
 - "classical": the kick strength is detuned, k -> k + delta_k(t); both
   branches run under the split-operator propagator.
 - "quantum": every gate of the circuit realization is noisy; the
-  perturbed branch runs gate by gate while the ideal branch uses the
+  perturbed branch runs the noisy circuit while the ideal branch uses the
   split-operator propagator (identical to the noiseless circuit to
   near machine precision, and much faster).
 
@@ -34,6 +34,7 @@ the finite-N saturation floor.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from dataclasses import dataclass, replace
@@ -53,6 +54,8 @@ from .states import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ExperimentConfig",
@@ -286,8 +289,38 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # curves
 # ---------------------------------------------------------------------------
 
+# (members, N) blocks live at the peak of fidelity_curve: the ideal and
+# perturbed branches, plus two temporaries, either the tilted
+# Hadamard's products or the overlap's conjugate and product
+_CURVE_LIVE_BLOCKS = 4
+
+
+def _require_memory(lattice: LatticeParams, rows: int) -> None:
+    """Refuse a run whose amplitude rows would not fit in physical memory.
+
+    ``rows`` counts the complex (N,) rows held at once; the estimate is
+    rows * N * 16 bytes.  Raises ValueError, before anything is
+    allocated, if that exceeds the machine's physical memory.  Where
+    the platform does not report its memory, nothing is checked.
+    """
+    need = rows * lattice.N * np.dtype(complex).itemsize
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return
+    if need > have:
+        raise ValueError(
+            f"n_q={lattice.n_q} needs about {need} bytes for {rows} amplitude "
+            f"rows, more than the {have} bytes of physical memory")
+
+
 def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
-    """Ensemble-averaged f(t) for the configured channel."""
+    """Ensemble-averaged f(t) for the configured channel.
+
+    Raises ValueError up front if the amplitude blocks would not fit in
+    physical memory (see :func:`_require_memory`).
+    """
+    _require_memory(config.lattice, _CURVE_LIVE_BLOCKS * config.n_members)
     n_members = config.n_members
     state_of_member = np.repeat(np.arange(config.n_states), config.n_noise)
     prop = BatchPropagator(config.lattice)
@@ -402,13 +435,20 @@ def _tf_point(args):
         initial="gaussian", theta0=theta0, p0=p0,
         t_max=t_max, n_states=1, n_noise=n_noise, master_seed=seed)
     curve = fidelity_curve(config)
-    return estimate_tf(curve)
+    try:
+        return estimate_tf(curve)
+    except NoCrossingError as exc:
+        log.warning("t_f point n_q=%d epsilon=%r: %s", n_q, epsilon, exc)
+        return TfRecord(t_f=math.nan, n_q=n_q, epsilon=epsilon)
 
 
 def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
              master_seed: int = 0, theta0: float = 1.0, p0: float = 0.0,
              jobs: int = 1):
-    """t_f on the (n_q, epsilon) grid, fresh ensembles per point."""
+    """t_f on the (n_q, epsilon) grid, fresh ensembles per point.
+
+    A point whose curve never crosses keeps its place with t_f = NaN.
+    """
     points = [(n_q, eps) for n_q in n_q_list for eps in epsilon_list]
     args = [(n_q, eps, K, n_noise, _point_seed(master_seed, i), theta0, p0)
             for i, (n_q, eps) in enumerate(points)]
@@ -416,10 +456,14 @@ def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
 
 
 def collapse_constant(records) -> float:
-    """Mean collapse combination t_f * epsilon^2 * n_q^2 over records."""
-    values = [r.collapse for r in records if r.collapse is not None]
+    """Mean collapse combination t_f * epsilon^2 * n_q^2 over records.
+
+    Records without grid coordinates or with a NaN t_f are skipped.
+    """
+    values = [r.collapse for r in records
+              if r.collapse is not None and not math.isnan(r.collapse)]
     if not values:
-        raise ValueError("no records with grid coordinates")
+        raise ValueError("no records with a finite t_f and grid coordinates")
     return float(np.mean(values))
 
 
@@ -443,7 +487,11 @@ def _rate_point(args):
             initial="gaussian", theta0=theta0, p0=p0, t_max=t_max,
             n_states=1, n_noise=n_noise, master_seed=seed)
     curve = fidelity_curve(config)
-    fit = fit_decay(curve, EXPONENTIAL, window)
+    try:
+        fit = fit_decay(curve, EXPONENTIAL, window)
+    except FitError as exc:
+        log.warning("rate point K=%r kind=%s: %s", K, kind, exc)
+        return RateRecord(K=K, kind=kind, rate=math.nan, r_squared=math.nan)
     return RateRecord(K=K, kind=kind, rate=fit.rate, r_squared=fit.r_squared)
 
 
@@ -455,7 +503,8 @@ def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
 
     Kinds: "island" is a packet at (1, 0), inside the main island when
     -4 < K < 0; "diffusive" is a packet at (0, 0) in the chaotic
-    layer; "random" is a uniform-modulus random-phase state.
+    layer; "random" is a uniform-modulus random-phase state.  A point
+    that cannot be fitted keeps its place with NaN rate and r^2.
     """
     if t_max is None:
         n_g = 3 * n_q ** 2 + n_q
@@ -630,6 +679,9 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
     if not 0 <= member < config.n_members:
         raise ValueError(f"member must be in [0, {config.n_members})")
     state_index = member // config.n_noise
+    # the initial block up to this member's state, the branch, and up
+    # to three one-row temporaries (step products, ancilla amplitudes)
+    _require_memory(config.lattice, state_index + 1 + 4)
     ideal = _initial_block(replace(config, n_states=state_index + 1))
     psi = ideal[state_index]
 

@@ -16,8 +16,8 @@ Derivation layout::
     (DOMAIN_SWEEP,     point)           derived master seeds per grid point
 
 A member consumes its gate-noise stream sequentially, a fixed number of
-draws per circuit step, so the draw log for member ``m`` depends only on
-``(master_seed, m)`` and not on ensemble size or execution order.
+draws per circuit step, so the noise parameters of member ``m`` depend
+only on ``(master_seed, m)`` and not on ensemble size or execution order.
 """
 
 from __future__ import annotations

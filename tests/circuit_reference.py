@@ -1,0 +1,79 @@
+"""Per-gate reference executor for circuit programs (test oracle).
+
+Walks the gate list one kernel per gate, with a full permutation at
+every bit reversal and the phase offset applied as a last pass.  The
+compiled :class:`sawtoothsim.circuit.CircuitEngine` must agree with it
+to rounding level.  Only the tilted Hadamard kernel is shared with the
+package; it is checked against textbook matrices on its own.
+"""
+
+import numpy as np
+
+from sawtoothsim.circuit import (
+    CPHASE,
+    HADAMARD,
+    PHASE1,
+    _apply_h_tilted,
+    _qubit_views,
+    bit_reversal_permutation,
+)
+
+
+def _cp_views(amps, n_q, qa, qb):
+    m = amps.shape[0]
+    hi, lo = max(qa, qb), min(qa, qb)
+    return amps.reshape(m, 1 << (n_q - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+
+
+def _apply_cp_noisy(amps, n_q, control, target, angle, eps):
+    """Ideal controlled-phase followed by sector dephasing.
+
+    eps has shape (members, 4); sectors are labelled by the
+    (control bit, target bit) pair as 00, 01, 10, 11, with the drawn
+    phase eps[:, 3] joining the ideal angle on the 11 sector.
+    """
+    v = _cp_views(amps, n_q, control, target)
+    hi = max(control, target)
+    ph = np.exp(1j * eps)
+
+    def sector(bc, bt):
+        bh, bl = (bc, bt) if control == hi else (bt, bc)
+        return v[:, :, bh, :, bl, :]
+
+    sector(0, 0)[...] *= ph[:, 0, None, None, None]
+    sector(0, 1)[...] *= ph[:, 1, None, None, None]
+    sector(1, 0)[...] *= ph[:, 2, None, None, None]
+    sector(1, 1)[...] *= (np.exp(1j * angle) * ph[:, 3])[:, None, None, None]
+
+
+def _apply_p1_noisy(amps, n_q, t, angle, eps):
+    """Phase gate with independent dephasing on both of its sectors."""
+    v = _qubit_views(amps, n_q, t)
+    v[:, :, 0, :] *= np.exp(1j * eps[:, 0])[:, None, None]
+    v[:, :, 1, :] *= np.exp(1j * (angle + eps[:, 1]))[:, None, None]
+
+
+def reference_step(program, amps, params):
+    """One program step on ``amps`` (members, N), gate by gate, in place.
+
+    params: (members, noisy_gate_count, 4) in program gate order.
+    """
+    n_q = program.n_q
+    perm = bit_reversal_permutation(n_q)
+    gi = 0
+    for g in program.gates:
+        if g.kind == HADAMARD:
+            _apply_h_tilted(amps, n_q, g.target,
+                            params[:, gi, 0], params[:, gi, 1])
+            gi += 1
+        elif g.kind == CPHASE:
+            _apply_cp_noisy(amps, n_q, g.control, g.target, g.angle,
+                            params[:, gi, :])
+            gi += 1
+        elif g.kind == PHASE1:
+            _apply_p1_noisy(amps, n_q, g.target, g.angle, params[:, gi, :])
+            gi += 1
+        else:
+            amps = np.ascontiguousarray(amps[:, perm])
+    amps *= np.exp(1j * program.phase_offset)
+    return amps

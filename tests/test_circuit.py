@@ -22,6 +22,7 @@ from sawtoothsim.circuit import (
     circuit_deviation,
 )
 from sawtoothsim.experiments import ExperimentConfig, noise_blocks
+from circuit_reference import reference_step
 from sawtoothsim.propagator import step_exact
 from sawtoothsim.states import LatticeParams, random_state
 
@@ -35,14 +36,14 @@ def test_gate_count_contract():
         prog = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=0.1))
         assert prog.hadamard_count == 2 * n_q
         assert prog.cphase_count == 3 * n_q * n_q - n_q
-        assert prog.gate_count == 3 * n_q * n_q + n_q
+        assert prog.noisy_gate_count == 3 * n_q * n_q + n_q
 
 
 def test_counts_examples():
     prog12 = build_sawtooth_circuit(LatticeParams(n_q=12, K=0.1))
     assert prog12.hadamard_count == 24
     assert prog12.cphase_count == 420
-    assert prog12.gate_count == 444
+    assert prog12.noisy_gate_count == 444
     prog1 = build_sawtooth_circuit(LatticeParams(n_q=1, K=0.1))
     assert prog1.hadamard_count == 2
     assert prog1.cphase_count == 2
@@ -328,3 +329,91 @@ def test_fidelity_ignores_global_phase_choice():
     f_raw = abs(np.vdot(ref.amps, noisy)) ** 2
     f_phased = abs(np.vdot(ref.amps, noisy * np.exp(-1j * 0.77))) ** 2
     assert abs(f_raw - f_phased) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# compiled engine against the per-gate reference
+# ---------------------------------------------------------------------------
+
+def gate_lists(n_q, max_size=40):
+    """Random gate lists on n_q qubits: every kind, any number of reversals."""
+    qubit = st.integers(0, n_q - 1)
+    angle = st.floats(-50.0, 50.0)
+    kinds = [st.builds(lambda t: Gate(HADAMARD, target=t), qubit),
+             st.builds(lambda t, a: Gate(PHASE1, target=t, angle=a), qubit, angle),
+             st.just(Gate(BITREV))]
+    if n_q > 1:
+        kinds.append(st.tuples(qubit, qubit, angle)
+                     .filter(lambda cta: cta[0] != cta[1])
+                     .map(lambda cta: Gate(CPHASE, control=cta[0],
+                                           target=cta[1], angle=cta[2])))
+    return st.lists(st.one_of(kinds), max_size=max_size)
+
+
+@st.composite
+def programs(draw, max_n_q):
+    """The sawtooth program at any K, or a random gate list."""
+    n_q = draw(st.integers(1, max_n_q))
+    if draw(st.booleans()):
+        return build_sawtooth_circuit(
+            LatticeParams(n_q=n_q, K=draw(st.floats(-10.0, 10.0))))
+    return CircuitProgram(n_q=n_q, gates=tuple(draw(gate_lists(n_q))),
+                          phase_offset=draw(st.floats(-10.0, 10.0)))
+
+
+def noisy_inputs(program, members, eps, seed):
+    """Normalized random block and a parameter block for ``program``."""
+    rng = np.random.default_rng(seed)
+    n = 1 << program.n_q
+    amps = rng.normal(size=(members, n)) + 1j * rng.normal(size=(members, n))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    params = rng.uniform(-eps, eps, (members, program.noisy_gate_count,
+                                     PARAMS_PER_GATE))
+    return amps, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=programs(max_n_q=10), members=st.integers(1, 5),
+       eps=st.floats(0.0, 0.1), seed=st.integers(0, 2 ** 16))
+def test_compiled_engine_matches_per_gate_reference(program, members, eps, seed):
+    amps, params = noisy_inputs(program, members, eps, seed)
+    out = CircuitEngine(program).step_noisy(amps.copy(), params)
+    ref = reference_step(program, amps.copy(), params)
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_q", [3, 6])
+@pytest.mark.parametrize("kind", [HADAMARD, CPHASE, PHASE1, BITREV])
+def test_one_kind_programs_match_reference(kind, n_q):
+    # the sawtooth gates of one kind, as the micro benchmark runs them,
+    # plus one more bit reversal so the reversals do not cancel
+    full = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=0.1))
+    for extra in ((), (Gate(BITREV),)):
+        program = CircuitProgram(
+            n_q=n_q, phase_offset=0.0,
+            gates=tuple(g for g in full.gates if g.kind == kind) + extra)
+        amps, params = noisy_inputs(program, 3, 1e-2, seed=n_q)
+        out = CircuitEngine(program).step_noisy(amps.copy(), params)
+        ref = reference_step(program, amps.copy(), params)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def test_sawtooth_step_moves_no_data():
+    # the two reversals cancel: no permutation, one table per run
+    prog = build_sawtooth_circuit(LatticeParams(n_q=5, K=0.1))
+    engine = CircuitEngine(prog)
+    kinds = [seg[0] for seg in engine.segments]
+    assert not engine.reversed
+    assert kinds.count("h") == 10 and kinds.count("d") == 10
+
+
+@settings(max_examples=20, deadline=None)
+@given(program=programs(max_n_q=6), members=st.integers(2, 64),
+       eps=st.floats(0.0, 0.1), seed=st.integers(0, 2 ** 16))
+def test_member_rows_independent_of_block_size(program, members, eps, seed):
+    amps, params = noisy_inputs(program, members, eps, seed)
+    engine = CircuitEngine(program)
+    out = engine.step_noisy(amps.copy(), params)
+    for i in range(members):
+        one = engine.step_noisy(amps[i:i + 1].copy(), params[i:i + 1])
+        assert np.array_equal(one[0], out[i])

@@ -221,6 +221,19 @@ class TestSweepCommands:
         assert [r[1] for r in rows] == ["island", "diffusive", "random"]
         assert all(float(r[2]) > 0 for r in rows)
 
+    def test_rate_vs_k_unfittable_points_still_written(self, tmp_path, capsys):
+        # three steps leave too few points in the fit window: every
+        # point is written with a NaN rate and the exit code says so
+        out = tmp_path / "rates.csv"
+        code = run("rate-vs-k", "--K", "0.5,1.0", "--nq", "4",
+                   "--epsilon", "0.01", "--ensemble", "2", "--tmax", "3",
+                   "--out", str(out), "--no-timestamp")
+        assert code == 2
+        rows = data_rows(out)
+        assert len(rows) == 6
+        assert all(r[2] == "nan" and r[3] == "nan" for r in rows)
+        assert "no grid point could be fitted" in capsys.readouterr().err
+
 
 class TestCircuitCheck:
     def test_contracts_pass(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Fidelity experiments: curves, decay fits, time scales, sweeps."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sawtoothsim.experiments as ex
 from sawtoothsim import streams
 from sawtoothsim.experiments import (
     DEFAULT_FIT_WINDOW,
@@ -143,6 +145,13 @@ class TestEstimateTf:
         with pytest.raises(ValueError):
             collapse_constant([TfRecord(t_f=1.0)])
 
+    def test_collapse_constant_skips_failed_points(self):
+        recs = [TfRecord(t_f=10.0, n_q=4, epsilon=0.1),
+                TfRecord(t_f=math.nan, n_q=5, epsilon=0.1)]
+        assert collapse_constant(recs) == collapse_constant(recs[:1])
+        with pytest.raises(ValueError):
+            collapse_constant(recs[1:])
+
 
 # ---------------------------------------------------------------------------
 # fidelity curves
@@ -212,6 +221,22 @@ class TestFidelityCurve:
         static = fidelity_curve(ExperimentConfig(regime="static", **kwargs))
         fresh = fidelity_curve(ExperimentConfig(regime="memoryless", **kwargs))
         assert not np.allclose(static.f, fresh.f)
+
+    def test_oversized_register_refused_before_allocating(self):
+        # 2^40 amplitudes per member need terabytes: both entry points
+        # refuse up front, quoting the estimate and the physical memory
+        config = ExperimentConfig(lattice=LatticeParams(n_q=40, K=0.5),
+                                  epsilon=0.01, t_max=2, n_noise=3)
+        tracemalloc.start()
+        try:
+            for call in (lambda: fidelity_curve(config),
+                         lambda: scattering_fidelity(config, 1, member=2)):
+                with pytest.raises(ValueError, match="n_q=40 needs about"):
+                    call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
     def test_error_bar_shrinks_with_ensemble(self):
         def mean_err(n_noise):
@@ -425,6 +450,51 @@ class TestSweeps:
         for r in recs:
             assert r.rate > 0
             assert 0.0 < r.r_squared <= 1.0
+
+    def test_unfittable_rate_point_keeps_the_others(self, monkeypatch, caplog):
+        # the K = 1.0 point cannot be fitted: the sweep still returns all
+        # three points, that one with NaN rate and r^2, the others as
+        # they come out of a sweep where every point fits
+        args = dict(n_q=5, epsilon=0.1, kinds=("random",), n_noise=4,
+                    t_max=40, master_seed=3)
+        clean = sweep_rate_vs_K([0.5, 1.0, 2.0], **args)
+        real_fit = ex.fit_decay
+
+        def fit(curve, *a, **kw):
+            if curve.config.lattice.K == 1.0:
+                raise FitError("no points in the window")
+            return real_fit(curve, *a, **kw)
+
+        monkeypatch.setattr(ex, "fit_decay", fit)
+        recs = sweep_rate_vs_K([0.5, 1.0, 2.0], **args)
+        assert [r.K for r in recs] == [0.5, 1.0, 2.0]
+        assert math.isnan(recs[1].rate) and math.isnan(recs[1].r_squared)
+        assert [recs[0], recs[2]] == [clean[0], clean[2]]
+        assert "K=1.0" in caplog.text
+
+    def test_short_rate_sweep_returns_failure_records(self):
+        # three steps never reach five points inside the fit window
+        recs = sweep_rate_vs_K([0.5], n_q=4, epsilon=0.01, kinds=("random",),
+                               n_noise=2, t_max=3)
+        assert len(recs) == 1 and math.isnan(recs[0].rate)
+
+    def test_uncrossed_tf_point_keeps_the_others(self, monkeypatch, caplog):
+        real_tf = ex.estimate_tf
+
+        def tf(curve, *a, **kw):
+            if curve.config.epsilon == 0.06:
+                raise NoCrossingError("curve never drops below A=0.9")
+            return real_tf(curve, *a, **kw)
+
+        monkeypatch.setattr(ex, "estimate_tf", tf)
+        recs = sweep_tf([4], [0.05, 0.06, 0.07], K=5.0, n_noise=4,
+                        master_seed=9)
+        assert [(r.n_q, r.epsilon) for r in recs] == [
+            (4, 0.05), (4, 0.06), (4, 0.07)]
+        assert math.isnan(recs[1].t_f)
+        assert recs[0].t_f > 0 and recs[2].t_f > 0
+        assert collapse_constant(recs) == collapse_constant([recs[0], recs[2]])
+        assert "epsilon=0.06" in caplog.text
 
     def test_saturation_window_scales_with_lattice(self):
         lo8, hi8 = saturation_window(LatticeParams(n_q=8, K=1.0))
