@@ -89,24 +89,27 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, float) and math.isnan(value):
-        return None
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else None
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _jsonable(dataclasses.asdict(value))
     return value
 
 
 def write_json(path, payload: dict, timestamp: bool = True) -> None:
-    """JSON artifact; adds a ``written`` field unless suppressed."""
+    """JSON artifact; adds a ``written`` field unless suppressed.
+
+    NaN and infinite floats are written as ``null``, so the file is
+    strict JSON.
+    """
     body = dict(payload)
     if timestamp:
         body["written"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(body), fh, indent=2)
+        json.dump(_jsonable(body), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

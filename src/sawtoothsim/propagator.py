@@ -15,8 +15,10 @@ a classical limit (it perturbs the map parameter), in contrast to the
 per-gate noise of :mod:`sawtoothsim.circuit`.
 
 ``BatchPropagator`` holds precomputed phase tables and advances a whole
-(members, N) ensemble per call; ``step_exact`` is the single-state
-reference it is tested against.
+(members, N) ensemble per call.  A kick detuning gives each member its
+own kick table, built from O(sqrt(N) log N) exponentials instead of N
+(see the class).  ``step_exact``, with one exponential per amplitude,
+is the single-state reference it is tested against.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ def step_exact(state: QuantumState, lattice: LatticeParams,
     return QuantumState(to_momentum(kicked).amps * rotation, MOMENTUM, lattice)
 
 
+# amplitudes per kick tile: a 1 MB table, 16 members at n_q = 12, fits
+# in one core's L2 cache where a table for a whole 200-member block
+# would add 13 MB to the memory of a step; at small n_q one tile holds
+# many members, so the fixed cost of building a table is paid rarely
+_KICK_TILE_AMPS = 1 << 16
+
+
 class BatchPropagator:
     """Vectorized exact evolution of a (members, N) amplitude block.
 
@@ -69,30 +78,92 @@ class BatchPropagator:
 
         psi <- rot * fft(kick * ifft(psi))
 
-    with kick and rot the diagonal phase tables.  Kick noise enters as
-    a per-member column of extra quadratic phases.
+    with kick and rot the diagonal phase tables.
+
+    A member kicked with strength s = k + delta_k needs the phases
+    exp(i s c (l - N/2)^2), c = 2 pi^2 / N^2.  Writing l = h S + v with
+    S = 2^floor(n_q / 2) and H = N / S rows, the exponent splits into
+    a row term c (h - H/2)^2 S^2, a column term c v (v - N) and a cross
+    term 2 c S h v.  The (H, S) table of the cross term is built by
+    doubling over the bits of h, starting from the column term, and
+    then multiplied by the row term, so a member's table costs
+    H + S + S log2(H) exponentials (512 at n_q = 12, where N = 4096)
+    and each entry is a product of at most log2(H) + 2 of them.  Tables
+    are built and applied for tiles of 2^16 amplitudes, and every
+    operation on them is elementwise, so a member's row does not depend
+    on its tile or its block.  The noiseless ``kick_phase`` is built by
+    the same code at s = k: a member whose detuning is zero then gets
+    the noiseless kick bit for bit, which keeps a zero-amplitude noisy
+    branch identical to the noiseless one.
     """
 
     def __init__(self, lattice: LatticeParams):
         self.lattice = lattice
-        theta = angle_values(lattice)
+        n_q, N = lattice.n_q, lattice.N
+        S = 1 << (n_q // 2)
+        H = N // S
+        c = 2.0 * math.pi ** 2 / N ** 2
+        h = np.arange(H, dtype=float)
+        v = np.arange(S, dtype=float)
+        self._kick_shape = H, S
+        self._kick_tile = max(1, _KICK_TILE_AMPS // N)
+        # exponents per unit kick strength, in the order row terms,
+        # column terms, doubling factors
+        self._kick_coef = 1j * np.concatenate(
+            [c * ((h - H / 2) * S) ** 2, c * v * (v - N)]
+            + [(2.0 * c * S * (1 << b)) * v for b in range(H.bit_length() - 1)])
+        self.kick_phase = self._kick_table(np.array([lattice.k])).reshape(N)
         n = momentum_values(lattice).astype(float)
-        self.kick_quad = (theta - math.pi) ** 2 / 2.0
-        self.kick_phase = np.exp(1j * lattice.k * self.kick_quad)
         self.rot_phase = np.exp(-1j * lattice.T * n * n / 2.0)
+
+    def _kick_table(self, strength: np.ndarray) -> np.ndarray:
+        """(H, members, S) kick phases for the kick strengths ``strength``.
+
+        Every exponent comes from one ``np.exp`` call.  Rows of h lead
+        the layout so that each doubling level writes a block disjoint
+        from the one it reads: numpy buffers a multiply whose output
+        may overlap an input and rounds it differently, which would
+        make a member's row depend on the size of its tile.
+        """
+        H, S = self._kick_shape
+        m = len(strength)
+        e = np.exp(np.multiply.outer(strength, self._kick_coef))
+        table = np.empty((H, m, S), dtype=complex)
+        table[0] = e[:, H:H + S]
+        steps = e[:, H + S:].reshape(m, -1, S)
+        for b in range(steps.shape[1]):
+            np.multiply(table[:1 << b], steps[:, b],
+                        out=table[1 << b:2 << b])
+        table *= e[:, :H].T[:, :, None]
+        return table
+
+    def _kick(self, work: np.ndarray, delta_k, inverse: bool) -> None:
+        """Multiply angle-basis rows by their kick phases, in place."""
+        m = work.shape[0]
+        H, S = self._kick_shape
+        strength = self.lattice.k + np.asarray(delta_k, float).reshape(-1)
+        if len(strength) != m:  # one detuning for every member
+            strength = np.broadcast_to(strength, (m,))
+        tile = self._kick_tile
+        for i in range(0, m, tile):
+            table = self._kick_table(strength[i:i + tile])
+            if inverse:
+                np.conjugate(table, out=table)
+            view = work[i:i + tile].reshape(-1, H, S)
+            view *= table.transpose(1, 0, 2)
 
     def step(self, amps: np.ndarray, delta_k=None) -> np.ndarray:
         """Advance a (members, N) block one map step.
 
         delta_k is None (noiseless) or a length-members vector of kick
-        perturbations, one per ensemble member.
+        perturbations, one per ensemble member; a length-1 vector
+        applies to every member.
         """
         work = np.fft.ifft(amps, axis=-1)
         if delta_k is None:
             work *= self.kick_phase
         else:
-            dk = np.asarray(delta_k, float).reshape(-1, 1)
-            work *= self.kick_phase * np.exp(1j * dk * self.kick_quad)
+            self._kick(work, delta_k, inverse=False)
         work = np.fft.fft(work, axis=-1)
         work *= self.rot_phase
         return work
@@ -104,6 +175,5 @@ class BatchPropagator:
         if delta_k is None:
             work *= self.kick_phase.conj()
         else:
-            dk = np.asarray(delta_k, float).reshape(-1, 1)
-            work *= (self.kick_phase * np.exp(1j * dk * self.kick_quad)).conj()
+            self._kick(work, delta_k, inverse=True)
         return np.fft.fft(work, axis=-1)

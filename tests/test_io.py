@@ -196,6 +196,20 @@ class TestJson:
         assert body["bad"] is None
         assert "written" not in body
 
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        # strict JSON has no NaN or Infinity, whatever their float type
+        path = tmp_path / "out.json"
+        payload = {"a": np.float64("nan"), "b": math.inf, "c": -math.inf,
+                   "d": np.float32("inf"), "e": np.array([1.0, np.nan, -np.inf])}
+        write_json(path, payload, timestamp=False)
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        body = json.loads(path.read_text(), parse_constant=reject)
+        assert body == {"a": None, "b": None, "c": None, "d": None,
+                        "e": [1.0, None, None]}
+
     def test_timestamp_field(self, tmp_path):
         path = tmp_path / "out.json"
         write_json(path, {"x": 1}, timestamp=True)

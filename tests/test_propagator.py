@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sawtoothsim import streams
 from sawtoothsim.classical import ClassicalParams, PhasePoint, step_classical
@@ -259,6 +261,56 @@ def test_batch_per_member_deltas():
     for m in range(3):
         single = step_exact(random_state(lat, seed=m), lat, deltas[m])
         assert np.max(np.abs(out[m] - single.amps)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_q=st.integers(1, 12), K=st.floats(-10.0, 10.0),
+       members=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_kick_table_matches_exact_step(n_q, K, members, seed, data):
+    # the kick tables against one exponential per amplitude, at
+    # detunings up to twice the kick strength
+    lat = LatticeParams(n_q=n_q, K=K)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed, members)
+    bound = 2.0 * abs(lat.k)
+    dk = np.array(data.draw(st.lists(st.floats(-bound, bound),
+                                     min_size=members, max_size=members)))
+    out = prop.step(amps, dk)
+    for m in range(members):
+        single = step_exact(QuantumState(amps[m], MOMENTUM, lat), lat, dk[m])
+        assert np.max(np.abs(out[m] - single.amps)) <= 1e-12
+    back = prop.step_inverse(out, dk)
+    assert np.max(np.abs(back - amps)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 5, 8, 11, 12])
+def test_member_rows_independent_of_block_size(n_q):
+    # each row equals the step of its member alone, bit for bit, forward
+    # and inverse; at n_q = 11 and 12 the 40 members span several tiles
+    lat = LatticeParams(n_q=n_q, K=0.7)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=20, members=40)
+    dk = np.random.default_rng(n_q).uniform(-2.0, 2.0, 40) * lat.k
+    forward, inverse = prop.step(amps, dk), prop.step_inverse(amps, dk)
+    for m in range(40):
+        one = amps[m:m + 1], dk[m:m + 1]
+        assert np.array_equal(forward[m], prop.step(*one)[0])
+        assert np.array_equal(inverse[m], prop.step_inverse(*one)[0])
+
+
+def test_one_detuning_applies_to_every_member():
+    # 40 members span three tiles at n_q = 12
+    lat = LatticeParams(n_q=12, K=0.7)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=21, members=40)
+    full = np.full(40, 0.3)
+    for one in ([0.3], np.array([0.3]), 0.3):
+        assert np.array_equal(prop.step(amps, one), prop.step(amps, full))
+        assert np.array_equal(prop.step_inverse(amps, one),
+                              prop.step_inverse(amps, full))
+    with pytest.raises(ValueError):
+        prop.step(amps, np.zeros(17))
 
 
 def test_batch_inverse_round_trip():
