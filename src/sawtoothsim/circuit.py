@@ -56,7 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import LatticeParams
+from .propagator import step_exact
+from .states import LatticeParams, random_amplitudes
 
 PARAMS_PER_GATE = 4  # fixed RNG consumption per noisy gate, every kind
 
@@ -422,17 +423,14 @@ def circuit_deviation(lattice: LatticeParams, n_states: int = 20,
     the two engines must agree to near machine precision on random
     states.
     """
-    from .propagator import step_exact
-    from .states import random_state
-
     program = build_sawtooth_circuit(lattice)
     engine = CircuitEngine(program)
     zero = np.zeros((1, program.noisy_gate_count, PARAMS_PER_GATE))
     worst = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(n_states):
-        psi = random_state(lattice, rng)
-        via_circuit = engine.step_noisy(psi.amps.copy().reshape(1, -1), zero)[0]
-        via_exact = step_exact(psi, lattice).amps
+        psi = random_amplitudes(lattice.N, rng)
+        via_circuit = engine.step_noisy(psi.copy().reshape(1, -1), zero)[0]
+        via_exact = step_exact(psi, lattice)
         worst = max(worst, float(np.max(np.abs(via_circuit - via_exact))))
     return worst

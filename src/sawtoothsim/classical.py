@@ -25,16 +25,11 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "PhasePoint",
     "ClassicalParams",
-    "step_classical",
     "step_array",
     "lyapunov_exponent",
     "lyapunov_numeric",
-    "island_frequency",
-    "island_rotation_number",
-    "frequency_shift",
     "poincare_section",
     "trajectory",
-    "torus_distance",
 ]
 
 
@@ -83,12 +78,6 @@ def step_array(theta, p, K):
     return theta_new, p_new
 
 
-def step_classical(point: PhasePoint, params: ClassicalParams) -> PhasePoint:
-    """One iteration of the sawtooth map."""
-    theta, p = step_array(point.theta, point.p, params.K)
-    return PhasePoint(float(theta), float(p))
-
-
 def lyapunov_exponent(params) -> float:
     """Maximum Lyapunov exponent, from the closed form per regime.
 
@@ -129,43 +118,6 @@ def lyapunov_numeric(params, steps: int = 2000, seed: int = 12345,
     return acc / steps
 
 
-def island_frequency(params) -> float:
-    """Harmonic frequency nu = sqrt(-K) / 2pi of the central island.
-
-    Valid in the quasi-integrable regime; raises outside -4 <= K < 0.
-    """
-    K = params.K if isinstance(params, ClassicalParams) else float(params)
-    if not (-4.0 <= K < 0.0):
-        raise ValueError(f"island frequency defined for -4 <= K < 0, got K={K}")
-    return math.sqrt(-K) / TWO_PI
-
-
-def island_rotation_number(params) -> float:
-    """Exact per-step rotation angle at the island center.
-
-    The linearized map at (pi, 0) rotates phase-space by
-    omega = arccos(1 + K/2) per step, slightly faster than the harmonic
-    estimate 2pi nu = sqrt(-K); the two agree as K -> 0-.
-    """
-    K = params.K if isinstance(params, ClassicalParams) else float(params)
-    if not (-4.0 < K < 0.0):
-        raise ValueError(f"rotation number defined for -4 < K < 0, got K={K}")
-    return math.acos(1.0 + K / 2.0)
-
-
-def frequency_shift(params, deltaK: float) -> float:
-    """First-order island frequency shift magnitude under K -> K + deltaK.
-
-    |d(nu)/dK| = 1 / (4pi sqrt(-K)), so the shift is
-    deltaK / (4pi sqrt(-K)).  Sets the onset time of packet separation
-    between perturbed and unperturbed island orbits.
-    """
-    K = params.K if isinstance(params, ClassicalParams) else float(params)
-    if not (-4.0 < K < 0.0):
-        raise ValueError(f"frequency shift defined for -4 < K < 0, got K={K}")
-    return deltaK / (4.0 * math.pi * math.sqrt(-K))
-
-
 def trajectory(point: PhasePoint, params: ClassicalParams, steps: int) -> np.ndarray:
     """Iterates of one seed point; returns array of shape (steps+1, 2)."""
     out = np.empty((steps + 1, 2))
@@ -186,15 +138,3 @@ def poincare_section(seeds, params: ClassicalParams, steps: int):
     if steps < 1:
         raise ValueError("steps must be >= 1")
     return [trajectory(s, params, steps) for s in seeds]
-
-
-def torus_distance(a, b) -> np.ndarray:
-    """Shortest wrap-around separation between phase points.
-
-    Accepts (..., 2) arrays of (theta, p) rows; both coordinates live on
-    circles of circumference 2pi, so each difference is reduced to its
-    minimal image before taking the Euclidean norm.
-    """
-    d = np.asarray(a, float) - np.asarray(b, float)
-    d = np.mod(d + math.pi, TWO_PI) - math.pi
-    return np.sqrt(np.sum(d * d, axis=-1))

@@ -191,7 +191,8 @@ def _experiment_config(opts: Options, default_nq: int, default_K: float,
     channel; otherwise the gate channel with amplitude --epsilon
     (possibly zero).  Supplying both is ambiguous and rejected.
     The ensemble count becomes initial packets when Gaussian centers
-    are left unset, noise realizations otherwise.
+    are left unset, noise realizations otherwise; a p0 without theta0
+    would then be ignored, so it is rejected.
     """
     lattice = _lattice(opts, default_nq, default_K)
     epsilon = opts.float("epsilon", 0.0)
@@ -203,6 +204,9 @@ def _experiment_config(opts: Options, default_nq: int, default_K: float,
     initial = opts.choice("initial", ("gaussian", "random"), "gaussian")
     theta0 = opts.float("theta0")
     p0 = opts.float("p0")
+    if initial == "gaussian" and theta0 is None and p0 is not None:
+        raise ConfigError("p0 needs theta0: without theta0 every packet "
+                          "gets a random center")
     ensemble = opts.int("ensemble", default_ensemble)
     if ensemble < 1:
         raise ConfigError("ensemble must be >= 1")

@@ -129,6 +129,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.initial not in ("gaussian", "random"):
             raise ValueError("initial must be 'gaussian' or 'random'")
+        for name in ("theta0", "p0", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if self.n_states < 1 or self.n_noise < 1:

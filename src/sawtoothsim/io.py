@@ -25,10 +25,7 @@ __all__ = [
     "write_json",
     "write_curve",
     "write_poincare",
-    "write_records",
     "write_circuit",
-    "write_state",
-    "read_state",
     "read_config",
     "config_metadata",
 ]
@@ -135,13 +132,6 @@ def write_poincare(path, trajectories, meta: dict | None = None,
                      "theta": th_col, "p": p_col}, meta, timestamp)
 
 
-def write_records(path, records, fields, meta: dict | None = None,
-                  timestamp: bool = True) -> None:
-    """Dataclass records as CSV, one column per named field."""
-    columns = {name: [getattr(r, name) for r in records] for name in fields}
-    write_csv(path, columns, meta, timestamp)
-
-
 def write_circuit(path, program, meta: dict | None = None,
                   timestamp: bool = True) -> None:
     """Gate listing as `position, kind, qubits, angle` columns."""
@@ -158,41 +148,6 @@ def write_circuit(path, program, meta: dict | None = None,
         angle_col.append(g.angle)
     write_csv(path, {"position": pos_col, "kind": kind_col,
                      "qubits": qubit_col, "angle": angle_col}, meta, timestamp)
-
-
-def write_state(path, state, timestamp: bool = True) -> None:
-    """State snapshot as `index, re, im` with lattice metadata."""
-    meta = {"nq": state.lattice.n_q, "K": state.lattice.K,
-            "basis": state.basis}
-    write_csv(path, {"index": list(range(state.amps.size)),
-                     "re": state.amps.real, "im": state.amps.imag},
-              meta, timestamp)
-
-
-def read_state(path):
-    """Round-trip reader for :func:`write_state` snapshots."""
-    from .states import LatticeParams, QuantumState
-
-    meta = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            if not line or line.startswith("index"):
-                continue
-            index, re_part, im_part = line.split(",")
-            rows.append((int(index), float(re_part), float(im_part)))
-    lattice = LatticeParams(n_q=int(meta["nq"]), K=float(meta["K"]))
-    amps = np.zeros(lattice.N, dtype=complex)
-    for index, re_part, im_part in rows:
-        amps[index] = re_part + 1j * im_part
-    return QuantumState(amps, meta["basis"], lattice)
 
 
 def read_config(path) -> dict:

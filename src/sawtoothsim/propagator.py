@@ -17,8 +17,10 @@ per-gate noise of :mod:`sawtoothsim.circuit`.
 ``BatchPropagator`` holds precomputed phase tables and advances a whole
 (members, N) ensemble per call.  A kick detuning gives each member its
 own kick table, built from O(sqrt(N) log N) exponentials instead of N
-(see the class).  ``step_exact``, with one exponential per amplitude,
-is the single-state reference it is tested against.
+(see the class).  ``step_exact`` advances one (N,) momentum array
+with one exponential per amplitude and explicit basis changes; it is
+the array reference that ``BatchPropagator`` and the gate circuit are
+tested against.
 """
 
 from __future__ import annotations
@@ -27,16 +29,7 @@ import math
 
 import numpy as np
 
-from .states import (
-    ANGLE,
-    MOMENTUM,
-    LatticeParams,
-    QuantumState,
-    angle_values,
-    momentum_values,
-    to_angle,
-    to_momentum,
-)
+from .states import LatticeParams, angle_values, momentum_values
 
 __all__ = [
     "step_exact",
@@ -44,23 +37,26 @@ __all__ = [
 ]
 
 
-def step_exact(state: QuantumState, lattice: LatticeParams,
-               delta_k: float = 0.0) -> QuantumState:
-    """One full map step with kick strength k + delta_k.
+def step_exact(amps: np.ndarray, lattice: LatticeParams,
+               delta_k: float = 0.0) -> np.ndarray:
+    """One map step of an (N,) momentum array at kick strength k + delta_k.
 
-    Accepts and returns momentum-basis states.  Applies the two
-    diagonal factors in their own bases through explicit basis
-    changes, so it serves as the test reference for
-    :class:`BatchPropagator` and the gate circuit.
+    Applies the two diagonal factors in their own bases through explicit
+    basis changes, psi(theta_l) = sqrt(N) (-1)^l ifft(psi)_l and back,
+    with one exponential per amplitude, so it serves as the test
+    reference for :class:`BatchPropagator` and the gate circuit.
+    Returns a new array.
     """
-    if state.lattice != lattice:
-        raise ValueError("state lattice does not match")
+    N = lattice.N
+    if np.shape(amps) != (N,):
+        raise ValueError(f"amps shape {np.shape(amps)} does not match N={N}")
+    signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
     theta = angle_values(lattice)
     kick = np.exp(1j * (lattice.k + delta_k) * (theta - math.pi) ** 2 / 2.0)
-    kicked = QuantumState(to_angle(state).amps * kick, ANGLE, lattice)
+    kicked = math.sqrt(N) * signs * np.fft.ifft(amps) * kick
     n = momentum_values(lattice)
     rotation = np.exp(-1j * lattice.T * n.astype(float) ** 2 / 2.0)
-    return QuantumState(to_momentum(kicked).amps * rotation, MOMENTUM, lattice)
+    return np.fft.fft(signs * kicked) / math.sqrt(N) * rotation
 
 
 # amplitudes per kick tile: a 1 MB table, 16 members at n_q = 12, fits

@@ -1,18 +1,19 @@
-"""Finite torus Hilbert space: states, transforms, initial conditions.
+"""Finite torus Hilbert space: lattice scales, grids, initial amplitudes.
+
+States are plain complex arrays of momentum amplitudes: (N,) for one
+state, (members, N) for an ensemble.
 
 The N = 2^n_q dimensional space discretizes the torus with momentum
 levels n = index - N/2 (n in [-N/2, N/2)) and angle grid
 theta_l = 2 pi l / N.  The effective Planck constant is T = 2 pi / N:
 commutators scale with T, so growing n_q approaches the classical
-limit.  The basis change is the unitary kernel
+limit.  The basis change (see :mod:`sawtoothsim.propagator`) is the
+unitary kernel
 
     <theta_l | n> = exp(i n theta_l) / sqrt(N),
 
 implemented as a power-of-two FFT with (-1)^l twiddle factors that
 account for the half-spectrum momentum offset.
-
-All operations return new states; amplitudes are never mutated through
-a ``QuantumState`` the caller still holds.
 """
 
 from __future__ import annotations
@@ -24,26 +25,13 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-MOMENTUM = "momentum"
-ANGLE = "angle"
-
 __all__ = [
     "LatticeParams",
-    "QuantumState",
     "WavePacketSpec",
     "momentum_values",
     "angle_values",
-    "gaussian_packet",
     "packet_amplitudes",
-    "random_state",
     "random_amplitudes",
-    "to_angle",
-    "to_momentum",
-    "fidelity",
-    "overlap",
-    "momentum_moments",
-    "angle_moments",
-    "packet_widths",
 ]
 
 
@@ -79,28 +67,6 @@ class LatticeParams:
 
 
 @dataclass(frozen=True)
-class QuantumState:
-    """Normalized amplitude vector with a declared basis tag."""
-
-    amps: np.ndarray
-    basis: str
-    lattice: LatticeParams
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if amps.shape != (self.lattice.N,):
-            raise ValueError(
-                f"amps shape {amps.shape} does not match N={self.lattice.N}")
-        if self.basis not in (MOMENTUM, ANGLE):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-
-@dataclass(frozen=True)
 class WavePacketSpec:
     """Center (theta0, p0) and momentum-space width of a Gaussian packet.
 
@@ -119,7 +85,7 @@ class WavePacketSpec:
         sigma = self.sigma
         if sigma is None:
             sigma = math.sqrt(lattice.N / (TWO_PI * self.L))
-        if sigma <= 0:
+        if not sigma > 0:
             raise ValueError("sigma must be positive")
         if sigma > lattice.N / 6:
             raise ValueError(
@@ -142,7 +108,7 @@ def packet_amplitudes(spec: WavePacketSpec, lattice: LatticeParams) -> np.ndarra
 
     The envelope is centered on n0 = p0 / T using wrapped distance, and
     the phase exp(-i (n - n0/2) theta0) places the angle center at
-    theta0 under this module's transform convention.
+    theta0 under the transform convention above.
     """
     sigma = spec.resolved_sigma(lattice)
     N = lattice.N
@@ -155,100 +121,7 @@ def packet_amplitudes(spec: WavePacketSpec, lattice: LatticeParams) -> np.ndarra
     return amps
 
 
-def gaussian_packet(spec: WavePacketSpec, lattice: LatticeParams) -> QuantumState:
-    """Coherent Gaussian wave packet in the momentum basis."""
-    return QuantumState(packet_amplitudes(spec, lattice), MOMENTUM, lattice)
-
-
 def random_amplitudes(N: int, rng: np.random.Generator) -> np.ndarray:
     """Moduli exactly 1/sqrt(N), phases i.i.d. uniform on [0, 2pi)."""
     phases = rng.uniform(0.0, TWO_PI, N)
     return np.exp(1j * phases) / math.sqrt(N)
-
-
-def random_state(lattice: LatticeParams, seed) -> QuantumState:
-    """Random-phase state of uniform modulus (an ergodic initial state).
-
-    ``seed`` may be anything ``numpy.random.default_rng`` accepts,
-    including a Generator to draw from an existing stream.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return QuantumState(random_amplitudes(lattice.N, rng), MOMENTUM, lattice)
-
-
-def to_angle(state: QuantumState) -> QuantumState:
-    """Momentum -> angle basis change.
-
-    psi(theta_l) = sum_n psi_n exp(i n theta_l) / sqrt(N)
-                 = sqrt(N) (-1)^l ifft(psi)_l  for n = index - N/2.
-    """
-    if state.basis != MOMENTUM:
-        raise ValueError("to_angle expects a momentum-basis state")
-    N = state.lattice.N
-    signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    amps = math.sqrt(N) * signs * np.fft.ifft(state.amps)
-    return QuantumState(amps, ANGLE, state.lattice)
-
-
-def to_momentum(state: QuantumState) -> QuantumState:
-    """Angle -> momentum basis change (inverse of :func:`to_angle`)."""
-    if state.basis != ANGLE:
-        raise ValueError("to_momentum expects an angle-basis state")
-    N = state.lattice.N
-    signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
-    amps = np.fft.fft(signs * state.amps) / math.sqrt(N)
-    return QuantumState(amps, MOMENTUM, state.lattice)
-
-
-def overlap(a: QuantumState, b: QuantumState) -> complex:
-    """Inner product <a|b> of same-basis, same-lattice states."""
-    if a.lattice != b.lattice:
-        raise ValueError("states live on different lattices")
-    if a.basis != b.basis:
-        raise ValueError("states are in different bases")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def fidelity(a: QuantumState, b: QuantumState) -> float:
-    """Squared overlap |<a|b>|^2; symmetric and global-phase blind."""
-    return abs(overlap(a, b)) ** 2
-
-
-def momentum_moments(state: QuantumState):
-    """(mean, standard deviation) of the integer momentum n."""
-    if state.basis != MOMENTUM:
-        state = to_momentum(state)
-    prob = np.abs(state.amps) ** 2
-    n = momentum_values(state.lattice)
-    mean = float(np.sum(prob * n))
-    var = float(np.sum(prob * (n - mean) ** 2))
-    return mean, math.sqrt(var)
-
-
-def angle_moments(state: QuantumState):
-    """Circular (mean, standard deviation) of the angle distribution.
-
-    Uses the first circular moment R e^{i mean}; the circular standard
-    deviation sqrt(-2 ln R) reduces to the linear one for narrow
-    distributions and stays finite across the periodic seam.
-    """
-    if state.basis != ANGLE:
-        state = to_angle(state)
-    prob = np.abs(state.amps) ** 2
-    z = np.sum(prob * np.exp(1j * angle_values(state.lattice)))
-    R = min(abs(z), 1.0)
-    mean = float(np.angle(z)) % TWO_PI
-    std = math.sqrt(max(-2.0 * math.log(R), 0.0)) if R > 0 else math.inf
-    return mean, std
-
-
-def packet_widths(state: QuantumState):
-    """(Delta_theta, Delta_p): e-folding half-widths of the marginals.
-
-    Defined as sqrt(2) times the standard deviation, so a default
-    Gaussian packet gives Delta_theta = Delta_p = sqrt(T) and the
-    product Delta_theta * Delta_p = T, the effective Planck constant.
-    """
-    _, s_theta = angle_moments(state)
-    _, s_n = momentum_moments(state)
-    return math.sqrt(2.0) * s_theta, math.sqrt(2.0) * s_n * state.lattice.T

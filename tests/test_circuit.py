@@ -24,7 +24,7 @@ from sawtoothsim.circuit import (
 from sawtoothsim.experiments import ExperimentConfig, noise_blocks
 from circuit_reference import reference_step
 from sawtoothsim.propagator import step_exact
-from sawtoothsim.states import LatticeParams, random_state
+from sawtoothsim.states import LatticeParams, random_amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +87,7 @@ def one_gate_step(gate, n_q, amps, params=None):
 
 
 def random_block(n_q, seed, members=1):
-    lat = LatticeParams(n_q=n_q, K=0.1)
-    return np.stack([random_state(lat, seed=seed + m).amps
+    return np.stack([random_amplitudes(1 << n_q, np.random.default_rng(seed + m))
                      for m in range(members)])
 
 
@@ -189,11 +188,11 @@ def test_zero_noise_matches_ideal():
 def test_run_step_noisy_zero_eps_matches_exact(n_q, K):
     lat = LatticeParams(n_q=n_q, K=K)
     prog = build_sawtooth_circuit(lat)
-    psi = random_state(lat, seed=4)
+    amps = random_block(n_q, seed=4)
     zero = np.zeros((1, prog.noisy_gate_count, PARAMS_PER_GATE))
-    out = CircuitEngine(prog).step_noisy(psi.amps.copy().reshape(1, -1), zero)
-    ref = step_exact(psi, lat)
-    assert np.max(np.abs(out[0] - ref.amps)) < 1e-10
+    out = CircuitEngine(prog).step_noisy(amps.copy(), zero)
+    ref = step_exact(amps[0], lat)
+    assert np.max(np.abs(out[0] - ref)) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -213,11 +212,11 @@ def test_run_step_ideal_matches_exact():
     # the noiseless circuit is the zero parameter block, member by member
     lat = LatticeParams(n_q=5, K=0.4)
     prog = build_sawtooth_circuit(lat)
-    states = [random_state(lat, seed=6 + m) for m in range(3)]
+    amps = random_block(5, seed=6, members=3)
     zero = np.zeros((3, prog.noisy_gate_count, PARAMS_PER_GATE))
-    out = CircuitEngine(prog).step_noisy(np.stack([s.amps for s in states]), zero)
-    for m, psi in enumerate(states):
-        assert np.max(np.abs(out[m] - step_exact(psi, lat).amps)) < 1e-10
+    out = CircuitEngine(prog).step_noisy(amps.copy(), zero)
+    for m in range(3):
+        assert np.max(np.abs(out[m] - step_exact(amps[m], lat))) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +274,7 @@ def test_static_draws_repeat_across_steps():
 
 
 def test_static_evolution_reproducible():
-    lat = LatticeParams(n_q=4, K=0.4)
-    psi = random_state(lat, seed=9).amps.reshape(1, -1)
+    psi = random_block(4, seed=9)
     outs = []
     for _ in range(2):
         prog, blocks = gate_noise(4, 1e-2, "static", seed=8)
@@ -322,12 +320,11 @@ def test_fidelity_ignores_global_phase_choice():
     # which is why the tilted Hadamard may drop its -i prefactor
     lat = LatticeParams(n_q=4, K=0.4)
     prog, blocks = gate_noise(4, 1e-2)
-    psi = random_state(lat, seed=11)
-    noisy = CircuitEngine(prog).step_noisy(psi.amps.copy().reshape(1, -1),
-                                           next(blocks))[0]
-    ref = step_exact(psi, lat)
-    f_raw = abs(np.vdot(ref.amps, noisy)) ** 2
-    f_phased = abs(np.vdot(ref.amps, noisy * np.exp(-1j * 0.77))) ** 2
+    psi = random_block(4, seed=11)
+    noisy = CircuitEngine(prog).step_noisy(psi.copy(), next(blocks))[0]
+    ref = step_exact(psi[0], lat)
+    f_raw = abs(np.vdot(ref, noisy)) ** 2
+    f_phased = abs(np.vdot(ref, noisy * np.exp(-1j * 0.77))) ** 2
     assert abs(f_raw - f_phased) < 1e-12
 
 

@@ -8,15 +8,10 @@ import pytest
 from sawtoothsim.classical import (
     ClassicalParams,
     PhasePoint,
-    frequency_shift,
-    island_frequency,
-    island_rotation_number,
     lyapunov_exponent,
     lyapunov_numeric,
     poincare_section,
     step_array,
-    step_classical,
-    torus_distance,
     trajectory,
 )
 from sawtoothsim.experiments import ExperimentConfig, noise_blocks
@@ -37,21 +32,40 @@ def perturbed_trajectory(point, K, deltaK_max, steps, seed=3):
     return out
 
 
+def torus_distance(a, b):
+    """Shortest wrap-around separation between (..., 2) arrays of (theta, p)."""
+    d = np.asarray(a, float) - np.asarray(b, float)
+    d = np.mod(d + PI, 2 * PI) - PI
+    return np.sqrt(np.sum(d * d, axis=-1))
+
+
+def island_rotation(K, steps=200):
+    """Per-step rotation angle of an orbit about the island center (pi, 0).
+
+    Inside the island the map is linear in x = theta - pi, so the orbit
+    obeys x(t+1) + x(t-1) = 2 cos(omega) x(t); cos(omega) is read off
+    the trajectory by least squares.
+    """
+    x = trajectory(PhasePoint(PI + 0.5, 0.0), ClassicalParams(K=K), steps)[:, 0] - PI
+    cos_w = np.dot(x[1:-1], x[2:] + x[:-2]) / (2.0 * np.dot(x[1:-1], x[1:-1]))
+    return math.acos(cos_w)
+
+
 # ---------------------------------------------------------------------------
 # stepping and torus bookkeeping
 # ---------------------------------------------------------------------------
 
 def test_fixed_point():
     for K in (-3.0, -0.5, 0.1, 1.0, 5.0):
-        out = step_classical(PhasePoint(PI, 0.0), ClassicalParams(K=K))
-        assert out.theta == pytest.approx(PI, abs=1e-15)
-        assert out.p == pytest.approx(0.0, abs=1e-15)
+        theta, p = step_array(PI, 0.0, K)
+        assert theta == pytest.approx(PI, abs=1e-15)
+        assert p == pytest.approx(0.0, abs=1e-15)
 
 
 def test_direct_evaluation():
-    out = step_classical(PhasePoint(PI + 0.1, 0.0), ClassicalParams(K=1.0))
-    assert out.p == pytest.approx(0.1, abs=1e-12)
-    assert out.theta == pytest.approx(PI + 0.2, abs=1e-12)
+    theta, p = step_array(PI + 0.1, 0.0, 1.0)
+    assert p == pytest.approx(0.1, abs=1e-12)
+    assert theta == pytest.approx(PI + 0.2, abs=1e-12)
 
 
 def test_phase_point_wraps():
@@ -73,14 +87,12 @@ def test_area_preservation():
         return (a - b + PI) % (2 * PI) - PI
 
     for K in (-2.0, -0.5, 0.1, 1.5):
-        params = ClassicalParams(K=K)
         for _ in range(10):
             th = rng.uniform(0.5, 2 * PI - 0.5)
             p = rng.uniform(-2.0, 2.0)
 
             def image(dth, dp):
-                pt = step_classical(PhasePoint(th + dth, p + dp), params)
-                return np.array([pt.theta, pt.p])
+                return np.array(step_array(th + dth, p + dp, K))
 
             base = image(0, 0)
             va = wrap_diff(image(h, 0), base)
@@ -144,36 +156,28 @@ def test_island_separation_stays_small():
 # ---------------------------------------------------------------------------
 
 def test_island_frequency_values():
-    assert island_frequency(ClassicalParams(K=-0.5)) == pytest.approx(
-        math.sqrt(0.5) / (2 * PI), abs=1e-9)
-    assert island_frequency(ClassicalParams(K=-4.0)) == pytest.approx(
-        1.0 / PI, abs=1e-12)
-
-
-def test_island_frequency_domain():
-    for K in (-math.pi ** 2, 0.0, 0.5):
-        with pytest.raises(ValueError):
-            island_frequency(ClassicalParams(K=K))
+    # the harmonic island frequency sqrt(-K) / 2pi, which criterion 11
+    # checks on the quantum packet, is the orbit's as K -> 0-; the two
+    # differ by about -K/24 relatively
+    for K, rel in ((-0.01, 1e-3), (-0.1, 1e-2), (-0.5, 3e-2)):
+        assert island_rotation(K) / (2 * PI) == pytest.approx(
+            math.sqrt(-K) / (2 * PI), rel=rel)
 
 
 def test_island_rotation_number():
     # exact per-step rotation of the linearized island: cos w = 1 + K/2
-    w = island_rotation_number(ClassicalParams(K=-0.5))
-    assert w == pytest.approx(math.acos(0.75), abs=1e-12)
+    for K in (-0.5, -2.0, -3.5):
+        assert island_rotation(K) == pytest.approx(math.acos(1 + K / 2), abs=1e-12)
 
 
 def test_frequency_shift_values():
-    assert frequency_shift(ClassicalParams(K=-0.5), 4e-3) == pytest.approx(
-        4.50e-4, abs=5e-7)
-    assert frequency_shift(ClassicalParams(K=-1.0), 1e-2) == pytest.approx(
-        7.96e-4, abs=5e-7)
-    assert frequency_shift(ClassicalParams(K=-0.5), 0.0) == 0.0
-
-
-def test_frequency_shift_domain():
-    for K in (0.0, 0.5, -4.0, -5.0):
-        with pytest.raises(ValueError):
-            frequency_shift(ClassicalParams(K=K), 1e-3)
+    # K -> K + deltaK shifts the island frequency by
+    # deltaK / (4pi sqrt(-K) sqrt(1 + K/4)) to first order in deltaK; the
+    # harmonic estimate deltaK / (4pi sqrt(-K)) is its limit as K -> 0-
+    for K, deltaK in ((-0.05, 1e-4), (-0.5, 4e-3), (-1.0, 1e-2)):
+        measured = (island_rotation(K) - island_rotation(K + deltaK)) / (2 * PI)
+        harmonic = deltaK / (4 * PI * math.sqrt(-K))
+        assert measured == pytest.approx(harmonic / math.sqrt(1 + K / 4), rel=1e-2)
 
 
 # ---------------------------------------------------------------------------

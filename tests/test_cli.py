@@ -153,6 +153,14 @@ class TestFidelity:
         assert run("fidelity", "--nq", "4", "--initial", "plane",
                    "--out", out) == 1
 
+    def test_p0_without_theta0_rejected(self, tmp_path):
+        # without theta0 every packet gets a random center, so a p0
+        # would be recorded in the header but never used
+        out = str(tmp_path / "x.csv")
+        assert run("fidelity", "--nq", "4", "--p0", "0.3", "--out", out) == 1
+        assert run("fidelity", "--nq", "4", "--p0", "0.3", "--theta0", "1.0",
+                   "--tmax", "5", "--out", out) == 0
+
     def test_config_file_with_cli_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

@@ -286,6 +286,11 @@ class TestFidelityCurve:
                 ExperimentConfig(lattice=lat, epsilon=bad)
             with pytest.raises(ValueError):
                 ExperimentConfig(lattice=lat, channel="classical", delta_K=bad)
+        # a non-finite packet center or width would give a NaN curve
+        for bad in (math.nan, math.inf, -math.inf):
+            for name in ("theta0", "p0", "sigma"):
+                with pytest.raises(ValueError):
+                    ExperimentConfig(lattice=lat, **{name: bad})
 
 
 # ---------------------------------------------------------------------------

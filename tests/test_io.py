@@ -1,4 +1,4 @@
-"""Artifact files: CSV/JSON writers, config files, state snapshots."""
+"""Artifact files: CSV/JSON writers and config files."""
 
 import json
 import math
@@ -16,17 +16,14 @@ from sawtoothsim.experiments import FidelityCurve, TfRecord
 from sawtoothsim.io import (
     config_metadata,
     read_config,
-    read_state,
     render_metadata,
     write_circuit,
     write_csv,
     write_curve,
     write_json,
     write_poincare,
-    write_records,
-    write_state,
 )
-from sawtoothsim.states import LatticeParams, WavePacketSpec, gaussian_packet
+from sawtoothsim.states import LatticeParams
 from sawtoothsim.experiments import ExperimentConfig
 
 
@@ -142,14 +139,6 @@ class TestCurveAndRecordFiles:
         assert [r[1] for r in rows] == ["0", "1", "0"]
         assert float(rows[2][3]) == -1.0
 
-    def test_records_file(self, tmp_path):
-        recs = [TfRecord(t_f=12.5, n_q=4, epsilon=0.02),
-                TfRecord(t_f=3.0, n_q=4, epsilon=0.04)]
-        path = tmp_path / "tf.csv"
-        write_records(path, recs, ("n_q", "epsilon", "t_f"), timestamp=False)
-        assert header_line(path) == "n_q, epsilon, t_f"
-        assert read_lines(path)[1] == "4, 0.02, 12.5"
-
 
 class TestCircuitFiles:
     def test_gate_listing(self, tmp_path):
@@ -163,18 +152,6 @@ class TestCircuitFiles:
         assert HADAMARD in kinds and CPHASE in kinds and BITREV in kinds
         two_qubit = [r for r in rows if r[1] == CPHASE]
         assert all(len(r[2].split(" ")) == 2 for r in two_qubit)
-
-
-class TestStateSnapshots:
-    def test_round_trip(self, tmp_path):
-        lattice = LatticeParams(n_q=5, K=-0.5)
-        state = gaussian_packet(WavePacketSpec(theta0=1.0, p0=0.0), lattice)
-        path = tmp_path / "state.csv"
-        write_state(path, state, timestamp=False)
-        back = read_state(path)
-        assert back.basis == state.basis
-        assert back.lattice == state.lattice
-        assert np.array_equal(back.amps, state.amps)
 
 
 class TestJson:

@@ -9,20 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sawtoothsim import streams
-from sawtoothsim.classical import ClassicalParams, PhasePoint, step_classical
+from sawtoothsim.classical import step_array
 from sawtoothsim.experiments import ExperimentConfig, noise_blocks, perturbed_branch
 from sawtoothsim.propagator import BatchPropagator, step_exact
 from sawtoothsim.states import (
-    MOMENTUM,
     LatticeParams,
-    QuantumState,
     WavePacketSpec,
-    angle_moments,
-    gaussian_packet,
-    momentum_moments,
+    angle_values,
     momentum_values,
-    random_state,
-    to_angle,
+    packet_amplitudes,
+    random_amplitudes,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -44,18 +40,18 @@ def kick(prop, amps, strength):
 
 
 def block(lat, seed, members=1):
-    return np.stack([random_state(lat, seed=seed + m).amps
+    return np.stack([random_amplitudes(lat.N, np.random.default_rng(seed + m))
                      for m in range(members)])
 
 
 def test_kick_zero_is_identity():
     # a detuning of -k switches the kick off: the step is the bare rotation
     lat = LatticeParams(n_q=6, K=0.4)
-    psi = random_state(lat, seed=1)
+    psi = block(lat, seed=1)[0]
     out = step_exact(psi, lat, delta_k=-lat.k)
     n = momentum_values(lat).astype(float)
-    rotated = psi.amps * np.exp(-1j * lat.T * n * n / 2.0)
-    assert np.max(np.abs(out.amps - rotated)) < 1e-13
+    rotated = psi * np.exp(-1j * lat.T * n * n / 2.0)
+    assert np.max(np.abs(out - rotated)) < 1e-13
 
 
 def test_kick_preserves_moduli():
@@ -90,9 +86,8 @@ def test_rotation_leaves_n0_invariant():
     lat = LatticeParams(n_q=6, K=0.4)
     amps = np.zeros(lat.N, dtype=complex)
     amps[lat.N // 2] = 1.0  # n = 0 level
-    psi = QuantumState(amps, MOMENTUM, lat)
-    out = step_exact(psi, lat, delta_k=-lat.k)  # kick switched off
-    assert np.max(np.abs(out.amps - psi.amps)) < 1e-14
+    out = step_exact(amps, lat, delta_k=-lat.k)  # kick switched off
+    assert np.max(np.abs(out - amps)) < 1e-14
 
 
 def test_rotation_inverse_round_trip():
@@ -108,52 +103,55 @@ def test_rotation_inverse_round_trip():
     assert np.max(np.abs(out - amps)) < 1e-12
 
 
-def test_rotation_rejects_angle_basis():
-    lat = LatticeParams(n_q=4, K=0.4)
-    with pytest.raises(ValueError):
-        step_exact(to_angle(random_state(lat, seed=0)), lat)
-
-
 # ---------------------------------------------------------------------------
 # full steps
 # ---------------------------------------------------------------------------
 
 def test_step_norm_and_basis():
+    # the FFTs with (-1)^l twiddles against the dense basis change
+    # <theta_l | n> = exp(i n theta_l) / sqrt(N): the step returns
+    # momentum amplitudes of unit norm
     lat = LatticeParams(n_q=8, K=0.3)
-    psi = random_state(lat, seed=7)
+    psi = block(lat, seed=7)[0]
     out = step_exact(psi, lat)
-    assert out.basis == "momentum"
-    assert np.sum(np.abs(out.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
+    theta, n = angle_values(lat), momentum_values(lat)
+    change = np.exp(1j * np.outer(theta, n)) / math.sqrt(lat.N)
+    kick = np.exp(1j * lat.k * (theta - math.pi) ** 2 / 2.0)
+    rotation = np.exp(-1j * lat.T * n * n / 2.0)
+    dense = rotation * (change.conj().T @ (kick * (change @ psi)))
+    assert np.max(np.abs(out - dense)) < 1e-12
+    assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_packet_center_follows_classical_map():
     # semiclassical check: three steps of the quantum centroid track the
     # classical orbit to within a few packet widths
     lat = LatticeParams(n_q=12, K=0.1)
-    spec = WavePacketSpec(theta0=2.0, p0=0.5)
-    psi = gaussian_packet(spec, lat)
-    point = PhasePoint(2.0, 0.5)
-    params = ClassicalParams(K=0.1)
+    psi = packet_amplitudes(WavePacketSpec(theta0=2.0, p0=0.5), lat)
+    theta, p = 2.0, 0.5
+    n, grid = momentum_values(lat), angle_values(lat)
     sigma_n = math.sqrt(lat.N / TWO_PI)
     sigma_theta = math.sqrt(lat.T)
     for _ in range(3):
         psi = step_exact(psi, lat)
-        point = step_classical(point, params)
-        mean_n, _ = momentum_moments(psi)
-        p_wrapped = (point.p + math.pi) % TWO_PI - math.pi
-        assert abs(mean_n * lat.T - p_wrapped) < 3 * sigma_n * lat.T
-        mean_theta, _ = angle_moments(to_angle(psi))
-        d_theta = (mean_theta - point.theta + math.pi) % TWO_PI - math.pi
+        theta, p = step_array(theta, p, lat.K)
+        mean_n = np.sum(np.abs(psi) ** 2 * n)
+        assert abs(mean_n * lat.T - p) < 3 * sigma_n * lat.T
+        # the angle density is N |ifft(psi)|^2, the twiddles being phases
+        density = lat.N * np.abs(np.fft.ifft(psi)) ** 2
+        mean_theta = np.angle(np.sum(density * np.exp(1j * grid)))
+        d_theta = (mean_theta - theta + math.pi) % TWO_PI - math.pi
         assert abs(d_theta) < 3 * sigma_theta
 
 
 def test_island_packet_oscillates():
     lat = LatticeParams(n_q=10, K=-0.5)
-    psi = gaussian_packet(WavePacketSpec(theta0=1.0, p0=0.0), lat)
+    psi = packet_amplitudes(WavePacketSpec(theta0=1.0, p0=0.0), lat)
+    n = momentum_values(lat)
     means = []
     for _ in range(30):
         psi = step_exact(psi, lat)
-        means.append(momentum_moments(psi)[0] * lat.T)
+        means.append(np.sum(np.abs(psi) ** 2 * n) * lat.T)
     means = np.asarray(means)
     # the centroid swings through zero and back: several sign changes
     assert np.sum(np.abs(np.diff(np.sign(means)))) >= 4
@@ -229,8 +227,7 @@ def test_time_reversal():
 
 def test_norm_drift_long_run():
     lat = LatticeParams(n_q=10, K=0.3)
-    psi = random_state(lat, seed=12)
-    amps = psi.amps.copy().reshape(1, -1)
+    amps = block(lat, seed=12)
     prop = BatchPropagator(lattice=lat)
     for _ in range(10000):
         amps = prop.step(amps)
@@ -245,22 +242,21 @@ def test_norm_drift_long_run():
 def test_batch_matches_single_step():
     lat = LatticeParams(n_q=7, K=0.3)
     prop = BatchPropagator(lattice=lat)
-    block = np.stack([random_state(lat, seed=s).amps for s in range(4)])
-    out = prop.step(block.copy())
+    amps = block(lat, seed=0, members=4)
+    out = prop.step(amps.copy())
     for m in range(4):
-        single = step_exact(random_state(lat, seed=m), lat)
-        assert np.max(np.abs(out[m] - single.amps)) < 1e-12
+        assert np.max(np.abs(out[m] - step_exact(amps[m], lat))) < 1e-12
 
 
 def test_batch_per_member_deltas():
     lat = LatticeParams(n_q=6, K=0.3)
     prop = BatchPropagator(lattice=lat)
-    block = np.stack([random_state(lat, seed=s).amps for s in range(3)])
+    amps = block(lat, seed=0, members=3)
     deltas = np.array([0.0, 0.05, -0.08])
-    out = prop.step(block.copy(), deltas)
+    out = prop.step(amps.copy(), deltas)
     for m in range(3):
-        single = step_exact(random_state(lat, seed=m), lat, deltas[m])
-        assert np.max(np.abs(out[m] - single.amps)) < 1e-12
+        single = step_exact(amps[m], lat, deltas[m])
+        assert np.max(np.abs(out[m] - single)) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -278,8 +274,8 @@ def test_kick_table_matches_exact_step(n_q, K, members, seed, data):
                                      min_size=members, max_size=members)))
     out = prop.step(amps, dk)
     for m in range(members):
-        single = step_exact(QuantumState(amps[m], MOMENTUM, lat), lat, dk[m])
-        assert np.max(np.abs(out[m] - single.amps)) <= 1e-12
+        single = step_exact(amps[m], lat, dk[m])
+        assert np.max(np.abs(out[m] - single)) <= 1e-12
     back = prop.step_inverse(out, dk)
     assert np.max(np.abs(back - amps)) <= 1e-12
 
@@ -316,9 +312,9 @@ def test_one_detuning_applies_to_every_member():
 def test_batch_inverse_round_trip():
     lat = LatticeParams(n_q=8, K=0.3)
     prop = BatchPropagator(lattice=lat)
-    block = np.stack([random_state(lat, seed=s).amps for s in range(2)])
-    out = prop.step_inverse(prop.step(block.copy()))
-    assert np.max(np.abs(out - block)) < 1e-12
+    amps = block(lat, seed=0, members=2)
+    out = prop.step_inverse(prop.step(amps.copy()))
+    assert np.max(np.abs(out - amps)) < 1e-12
 
 
 def test_step_perturbation_bounds():
