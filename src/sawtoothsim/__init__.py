@@ -48,7 +48,6 @@ from .experiments import (
     sweep_tf,
 )
 from .io import (
-    config_metadata,
     read_config,
     write_circuit,
     write_csv,
@@ -72,7 +71,7 @@ __all__ = [
     "classical_error_regimes", "collapse_constant", "estimate_tf",
     "fidelity_curve", "fit_decay", "scattering_fidelity", "sweep_rate_vs_K",
     "sweep_tf",
-    "config_metadata", "read_config", "write_circuit",
+    "read_config", "write_circuit",
     "write_csv", "write_curve", "write_json", "write_poincare",
     "__version__",
 ]

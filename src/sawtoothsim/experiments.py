@@ -96,10 +96,11 @@ class ExperimentConfig:
     """Full description of one fidelity experiment.
 
     ``initial`` is "gaussian" or "random"; Gaussian centers default to
-    the canonical point (1, 0), while ``theta0=None`` draws a fresh
-    uniform center on the torus for every initial state in the
-    ensemble (the standard choice when averaging over packets in the
-    chaotic regime).
+    the canonical point (1, 0) (``p0=None`` means 0 when ``theta0`` is
+    set), while ``theta0=None`` draws a fresh uniform center on the
+    torus for every initial state in the ensemble (the standard choice
+    when averaging over packets in the chaotic regime); a ``p0`` would
+    then be ignored, so it is refused.
 
     ``n_states`` counts initial states, ``n_noise`` noise realizations
     per initial state; the ensemble has ``n_states * n_noise`` members.
@@ -112,7 +113,7 @@ class ExperimentConfig:
     delta_K: float = 0.0
     initial: str = "gaussian"
     theta0: float | None = 1.0
-    p0: float | None = 0.0
+    p0: float | None = None
     sigma: float | None = None
     t_max: int = 100
     n_states: int = 1
@@ -133,6 +134,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        if self.initial == "gaussian" and self.theta0 is None \
+                and self.p0 is not None:
+            raise ValueError("p0 needs theta0: without theta0 every packet "
+                             "gets a random center")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if self.n_states < 1 or self.n_noise < 1:
@@ -429,14 +434,14 @@ def _point_seed(master_seed: int, index: int) -> int:
 
 
 def _tf_point(args):
-    n_q, epsilon, K, n_noise, seed, theta0, p0 = args
+    n_q, epsilon, K, n_noise, seed = args
     lattice = LatticeParams(n_q=n_q, K=K)
     # the crossing sits near 0.126/(eps^2 nq^2); leave generous headroom
     t_guess = 0.32 / (epsilon ** 2 * n_q ** 2)
     t_max = int(min(max(12, t_guess), 20000))
     config = ExperimentConfig(
         lattice=lattice, channel="quantum", epsilon=epsilon,
-        initial="gaussian", theta0=theta0, p0=p0,
+        initial="gaussian", theta0=1.0, p0=0.0,
         t_max=t_max, n_states=1, n_noise=n_noise, master_seed=seed)
     curve = fidelity_curve(config)
     try:
@@ -447,14 +452,14 @@ def _tf_point(args):
 
 
 def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
-             master_seed: int = 0, theta0: float = 1.0, p0: float = 0.0,
-             jobs: int = 1):
+             master_seed: int = 0, jobs: int = 1):
     """t_f on the (n_q, epsilon) grid, fresh ensembles per point.
 
+    Every point starts from the packet at (1, 0).
     A point whose curve never crosses keeps its place with t_f = NaN.
     """
     points = [(n_q, eps) for n_q in n_q_list for eps in epsilon_list]
-    args = [(n_q, eps, K, n_noise, _point_seed(master_seed, i), theta0, p0)
+    args = [(n_q, eps, K, n_noise, _point_seed(master_seed, i))
             for i, (n_q, eps) in enumerate(points)]
     return _run_points(_tf_point, args, jobs)
 
@@ -477,7 +482,7 @@ _KIND_CENTERS = {"island": (1.0, 0.0), "diffusive": (0.0, 0.0)}
 
 
 def _rate_point(args):
-    K, kind, n_q, epsilon, n_noise, t_max, seed, window = args
+    K, kind, n_q, epsilon, n_noise, t_max, seed = args
     lattice = LatticeParams(n_q=n_q, K=K)
     if kind == "random":
         config = ExperimentConfig(
@@ -492,7 +497,7 @@ def _rate_point(args):
             n_states=1, n_noise=n_noise, master_seed=seed)
     curve = fidelity_curve(config)
     try:
-        fit = fit_decay(curve, EXPONENTIAL, window)
+        fit = fit_decay(curve, EXPONENTIAL)
     except FitError as exc:
         log.warning("rate point K=%r kind=%s: %s", K, kind, exc)
         return RateRecord(K=K, kind=kind, rate=math.nan, r_squared=math.nan)
@@ -502,7 +507,7 @@ def _rate_point(args):
 def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
                     kinds=RATE_KINDS, n_noise: int = 25,
                     t_max: int | None = None, master_seed: int = 0,
-                    window: tuple = DEFAULT_FIT_WINDOW, jobs: int = 1):
+                    jobs: int = 1):
     """Fitted quantum-channel decay rate per (K, initial-state kind).
 
     Kinds: "island" is a packet at (1, 0), inside the main island when
@@ -515,7 +520,7 @@ def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
         t_max = int(min(max(40, 3.5 / (0.25 * epsilon ** 2 * n_g)), 20000))
     points = [(K, kind) for K in K_list for kind in kinds]
     args = [(K, kind, n_q, epsilon, n_noise, t_max,
-             _point_seed(master_seed, 101 + i), window)
+             _point_seed(master_seed, 101 + i))
             for i, (K, kind) in enumerate(points)]
     return _run_points(_rate_point, args, jobs)
 
@@ -534,8 +539,7 @@ def saturation_window(lattice: LatticeParams) -> tuple:
 
 
 def _regime_point(args):
-    (K, delta_K, n_q, n_states, n_noise, t_max, seed, fgr_window,
-     bootstrap) = args
+    K, delta_K, n_q, n_states, n_noise, t_max, seed, bootstrap = args
     lattice = LatticeParams(n_q=n_q, K=K)
     delta_k = delta_K / lattice.T
     lam = lyapunov_exponent(K)
@@ -552,11 +556,12 @@ def _regime_point(args):
     if stable:
         regime = "island"
         theta0, p0 = 1.0, 0.0
-        window = fgr_window
+        window = DEFAULT_FIT_WINDOW
     else:
         regime = "lyapunov" if delta_k > 1.0 else "fgr"
         theta0, p0 = None, None  # uniform centers over the chaotic torus
-        window = saturation_window(lattice) if regime == "lyapunov" else fgr_window
+        window = (saturation_window(lattice) if regime == "lyapunov"
+                  else DEFAULT_FIT_WINDOW)
 
     if t_max is None:
         if regime == "fgr":
@@ -572,7 +577,15 @@ def _regime_point(args):
         n_states=n_states, n_noise=n_noise, master_seed=seed)
     curve = fidelity_curve(config)
 
-    fit_exp = fit_decay(curve, EXPONENTIAL, window)
+    try:
+        fit_exp = fit_decay(curve, EXPONENTIAL, window)
+    except FitError as exc:
+        log.warning("regime point K=%r delta_K=%r: %s", K, delta_K, exc)
+        return RegimeRecord(
+            delta_K=delta_K, delta_k=delta_k, regime=regime, model="none",
+            rate=math.nan, rate_stderr=math.nan, r_squared=math.nan,
+            r2_exponential=None, r2_gaussian=None, window=tuple(window),
+            lyapunov=lam)
     try:
         fit_gauss = fit_decay(curve, GAUSSIAN, window)
     except FitError:
@@ -618,7 +631,6 @@ def _bootstrap_rate_stderr(curve: FidelityCurve, model: str, window,
 def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
                             n_states: int = 50, n_noise: int = 1,
                             t_max: int | None = None, master_seed: int = 0,
-                            fgr_window: tuple = DEFAULT_FIT_WINDOW,
                             bootstrap: int = 200, jobs: int = 1):
     """Classify kick-noise amplitudes into decay regimes.
 
@@ -628,13 +640,15 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
     window for perturbative decay, the post-shoulder band of
     :func:`saturation_window` for saturated decay.  For stable K the
     initial state is the canonical island packet and both decay models
-    compete on r^2.  delta_K = 0 yields a trivial record with no fit.
+    compete on r^2.  delta_K = 0 yields a trivial record with no fit,
+    and a point that cannot be fitted keeps its place with model
+    "none" and NaN rate, rate_stderr and r^2.
     """
     for dK in deltaK_list:
         if dK < 0:
             raise ValueError("delta_K values must be >= 0")
     args = [(K, dK, n_q, n_states, n_noise, t_max,
-             _point_seed(master_seed, 211 + i), fgr_window, bootstrap)
+             _point_seed(master_seed, 211 + i), bootstrap)
             for i, dK in enumerate(deltaK_list)]
     return _run_points(_regime_point, args, jobs)
 

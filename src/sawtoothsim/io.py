@@ -1,10 +1,12 @@
 """Artifact emission (CSV/JSON with embedded metadata) and config files.
 
-Every output file starts with commented ``key = value`` metadata lines
-carrying the full run configuration and master seed, so any artifact
+Every output file starts with commented ``key = value`` metadata lines;
+the command line writes there the options of the run, so any artifact
 can be reproduced without the original command line.  The metadata
 syntax matches the config-file format (minus the comment marker): flat
-``key = value`` pairs, ``#`` comments, blank lines ignored.
+``key = value`` pairs, ``#`` comments, blank lines ignored.  ``None``
+renders as an empty value and a list as comma-separated entries, the
+forms the command line reads back.
 
 A timestamp line is written by default and can be suppressed for
 byte-identical reruns.
@@ -27,7 +29,6 @@ __all__ = [
     "write_poincare",
     "write_circuit",
     "read_config",
-    "config_metadata",
 ]
 
 
@@ -43,6 +44,8 @@ def _fmt(value) -> str:
         return str(int(value))
     if value is None:
         return ""
+    if isinstance(value, (list, tuple)):
+        return ",".join(_fmt(v) for v in value)
     return str(value)
 
 
@@ -167,29 +170,3 @@ def read_config(path) -> dict:
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out
-
-
-def config_metadata(config) -> dict:
-    """Flatten an experiment config into metadata/config-file keys.
-
-    The keys the command line reads (``ensemble`` among them) make the
-    header of a result file a config that reruns the same experiment.
-    """
-    lattice = config.lattice
-    return {
-        "nq": lattice.n_q,
-        "K": lattice.K,
-        "channel": config.channel,
-        "epsilon": config.epsilon,
-        "regime": config.regime,
-        "deltaK": config.delta_K,
-        "initial": config.initial,
-        "theta0": config.theta0,
-        "p0": config.p0,
-        "sigma": config.sigma,
-        "tmax": config.t_max,
-        "n_states": config.n_states,
-        "n_noise": config.n_noise,
-        "ensemble": config.n_members,
-        "seed": config.master_seed,
-    }

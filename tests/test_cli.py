@@ -63,8 +63,7 @@ class TestPoincare:
         run("poincare", "--out", str(out), "--tmax", "3", "--K", "-1.0",
             "--no-timestamp")
         meta = comment_meta(out)
-        assert meta["K"] == "-1.0"
-        assert meta["steps"] == "3"
+        assert meta == {"K": "-1.0", "tmax": "3"}
 
 
 class TestLyapunov:
@@ -137,7 +136,9 @@ class TestFidelity:
                    "--tmax", "20", "--ensemble", "4",
                    "--out", str(out), "--no-timestamp")
         assert code == 0
-        assert comment_meta(out)["channel"] == "classical"
+        body = json.loads((tmp_path / "kick_summary.json").read_text())
+        assert body["summary"]["channel"] == "classical"
+        assert "channel" not in comment_meta(out)
 
     def test_conflicting_channels_rejected(self, tmp_path):
         code = run("fidelity", "--nq", "4", "--epsilon", "0.01",
@@ -200,6 +201,17 @@ class TestFidelity:
         assert run("fidelity", "--config", str(tmp_path / "absent.cfg"),
                    "--out", str(tmp_path / "x.csv")) == 1
 
+    @pytest.mark.parametrize("line", [
+        "epsilom = 9", "out = other.csv", "shots = 10", "tmax = ten"])
+    def test_config_key_not_read_rejected(self, tmp_path, line):
+        # a misspelt key, a key the header never holds, an option of
+        # another command and a value of the wrong type
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nq = 4\ntmax = 5\n" + line + "\n")
+        out = tmp_path / "x.csv"
+        assert run("fidelity", "--config", str(cfg), "--out", str(out)) == 1
+        assert not out.exists()
+
 
 class TestSweepCommands:
     def test_tf_scan_tiny_grid(self, tmp_path, capsys):
@@ -216,6 +228,14 @@ class TestSweepCommands:
         assert run("tf-scan", "--nq", "4", "--epsilon", "0.05", "--K", "5",
                    "--ensemble", "2", "--jobs", "0",
                    "--out", str(tmp_path / "tf.csv")) == 1
+
+    def test_empty_grid_rejected(self, tmp_path):
+        # an empty list would write a header whose empty value reads
+        # back as the default grid
+        out = tmp_path / "grid.csv"
+        assert run("tf-scan", "--nq", ",", "--out", str(out)) == 1
+        assert run("rate-vs-k", "--K", "", "--out", str(out)) == 1
+        assert not out.exists()
 
     def test_rate_vs_k_tiny(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -275,6 +295,39 @@ class TestScattering:
         assert run("scattering", "--nq", "4", "--shots", "0") == 1
 
 
+# one small run of every command that writes a CSV
+CSV_COMMANDS = {
+    "poincare": ("poincare", "--K", "-1.0", "--tmax", "3"),
+    "tf-scan": ("tf-scan", "--nq", "4,5", "--epsilon", "0.05", "--K", "5",
+                "--ensemble", "3"),
+    "rate-vs-k": ("rate-vs-k", "--K", "0.5,-0.5", "--nq", "4",
+                  "--epsilon", "0.1", "--ensemble", "3", "--tmax", "30"),
+    "circuit-check": ("circuit-check", "--nq", "3", "--K", "0.3"),
+    "fidelity": ("fidelity", "--nq", "4", "--deltaK", "0.05",
+                 "--theta0", "2.0", "--tmax", "12", "--ensemble", "3",
+                 "--seed", "4"),
+}
+
+
+@pytest.mark.parametrize("stamp", [(), ("--no-timestamp",)],
+                         ids=["written", "no-timestamp"])
+@pytest.mark.parametrize("argv", list(CSV_COMMANDS.values()),
+                         ids=list(CSV_COMMANDS))
+def test_every_csv_header_reruns(tmp_path, argv, stamp):
+    # the header, comment markers stripped, is a config file that
+    # reruns the command; a timestamp line in it is skipped
+    first = tmp_path / "first.csv"
+    assert run(*argv, "--out", str(first), *stamp) == 0
+    lines = first.read_text(encoding="utf-8").splitlines(keepends=True)
+    cfg = tmp_path / "rerun.cfg"
+    cfg.write_text("".join(ln[2:] for ln in lines if ln.startswith("# ")))
+    second = tmp_path / "second.csv"
+    assert run(argv[0], "--config", str(cfg), "--out", str(second),
+               "--no-timestamp") == 0
+    expected = [ln for ln in lines if not ln.startswith("# written = ")]
+    assert second.read_text(encoding="utf-8") == "".join(expected)
+
+
 class TestParser:
     def test_missing_subcommand(self):
         assert run() == 1
@@ -284,3 +337,20 @@ class TestParser:
 
     def test_unknown_flag(self):
         assert run("lyapunov", "--banana", "1") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("rate-vs-k", "--regime", "static"),
+        ("rate-vs-k", "--initial", "random"),
+        ("lyapunov", "--nq", "4"),
+        ("lyapunov", "--epsilon", "5"),
+        ("poincare", "--seed", "1"),
+        ("circuit-check", "--format", "json")])
+    def test_flag_of_another_command_rejected(self, tmp_path, argv):
+        # every flag a command accepts is one it reads; the small sizes
+        # keep a run short should the flag be accepted after all
+        small = {"rate-vs-k": ("--K", "0.5", "--nq", "3", "--ensemble", "1",
+                               "--tmax", "3"),
+                 "poincare": ("--tmax", "2"), "circuit-check": ("--nq", "2")}
+        out = tmp_path / "x.csv"
+        assert run(*argv, *small.get(argv[0], ()), "--out", str(out)) == 1
+        assert not out.exists()

@@ -292,6 +292,20 @@ class TestFidelityCurve:
                 with pytest.raises(ValueError):
                     ExperimentConfig(lattice=lat, **{name: bad})
 
+    def test_p0_needs_theta0(self):
+        # without theta0 every Gaussian packet gets a random center, so
+        # a p0 would be ignored; random states ignore both
+        lat = LatticeParams(n_q=4, K=0.5)
+        with pytest.raises(ValueError, match="p0 needs theta0"):
+            ExperimentConfig(lattice=lat, theta0=None, p0=0.3)
+        ExperimentConfig(lattice=lat, theta0=None)
+        ExperimentConfig(lattice=lat, initial="random", theta0=None, p0=0.3)
+        # with theta0 set, an unset p0 is the packet at p = 0
+        common = dict(lattice=lat, epsilon=0.05, t_max=6, n_noise=2)
+        unset = fidelity_curve(ExperimentConfig(theta0=2.0, **common))
+        zero = fidelity_curve(ExperimentConfig(theta0=2.0, p0=0.0, **common))
+        assert np.array_equal(unset.member_f, zero.member_f)
+
 
 # ---------------------------------------------------------------------------
 # regime classification for kick noise
@@ -331,9 +345,25 @@ class TestClassicalErrorRegimes:
         # between the fast noise shoulder (f ~ 0.08) and the finite-N
         # floor (~16/N) only a couple of steps survive at 2^10 levels;
         # the fit refuses rather than extrapolate from them
-        with pytest.raises(FitError):
-            classical_error_regimes(
-                0.1, [0.2], n_q=10, n_states=20, bootstrap=0, master_seed=2)
+        (rec,) = classical_error_regimes(
+            0.1, [0.2], n_q=10, n_states=20, bootstrap=0, master_seed=2)
+        assert rec.regime == "lyapunov"
+        assert rec.model == "none"
+        assert all(math.isnan(v)
+                   for v in (rec.rate, rec.rate_stderr, rec.r_squared))
+
+    def test_unfittable_point_keeps_the_others(self):
+        # 1e-5 leaves f above the fit window for all eight steps; the
+        # point before it keeps its record
+        recs = classical_error_regimes(
+            0.1, [5e-2, 1e-5], n_q=6, n_states=4, n_noise=1, t_max=8,
+            bootstrap=0)
+        (alone,) = classical_error_regimes(
+            0.1, [5e-2], n_q=6, n_states=4, n_noise=1, t_max=8, bootstrap=0)
+        assert recs[0] == alone
+        assert math.isfinite(alone.rate)
+        assert math.isnan(recs[1].rate) and math.isnan(recs[1].r_squared)
+        assert recs[1].delta_K == 1e-5
 
     def test_strong_noise_rate_saturates(self):
         # at 2^12 levels these amplitudes all exceed one momentum

@@ -14,7 +14,6 @@ from sawtoothsim.circuit import (
 )
 from sawtoothsim.experiments import FidelityCurve, TfRecord
 from sawtoothsim.io import (
-    config_metadata,
     read_config,
     render_metadata,
     write_circuit,
@@ -24,7 +23,6 @@ from sawtoothsim.io import (
     write_poincare,
 )
 from sawtoothsim.states import LatticeParams
-from sawtoothsim.experiments import ExperimentConfig
 
 
 def read_lines(path):
@@ -66,21 +64,18 @@ class TestMetadata:
 
     def test_matches_config_file_syntax(self, tmp_path):
         # stripping the comment marker turns a metadata header into a
-        # valid config file with identical values
-        config = ExperimentConfig(
-            lattice=LatticeParams(n_q=6, K=-0.5), channel="classical",
-            delta_K=4e-3, t_max=50, master_seed=17)
-        meta = config_metadata(config)
+        # valid config file with identical values; None reads back as
+        # an empty value and a list as comma-separated entries
+        meta = {"nq": [4, 5], "K": -0.5, "deltaK": 4e-3,
+                "epsilon": [0.05, 1e-2], "theta0": None, "regime": "static",
+                "seed": 17}
         lines = render_metadata(meta, timestamp=False)
         path = tmp_path / "run.cfg"
         path.write_text("\n".join(line.lstrip("# ") for line in lines) + "\n")
         parsed = read_config(path)
-        assert parsed["nq"] == "6"
-        assert parsed["K"] == "-0.5"
-        assert parsed["deltaK"] == "0.004"
-        assert parsed["channel"] == "classical"
-        assert parsed["seed"] == "17"
-        assert set(parsed) == set(meta)
+        assert parsed == {"nq": "4,5", "K": "-0.5", "deltaK": "0.004",
+                          "epsilon": "0.05,0.01", "theta0": "",
+                          "regime": "static", "seed": "17"}
 
 
 class TestWriteCsv:
