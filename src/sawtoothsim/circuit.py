@@ -41,12 +41,16 @@ between two Hadamards commute, and each noisy one adds a phase that is
 affine in its sector bits, so a run of them collapses, per member, into
 one phase table over the bits it touches: a constant plus linear and
 pairwise bit terms whose coefficients are fixed angles plus signed sums
-of drawn parameters.  A bit reversal only relabels which physical bit
-carries each qubit.  One sawtooth step is then 2 n_q tilted Hadamards
-and 2 n_q phase tables (the ladder runs span 2^(t+1) entries, the kick
-and rotation runs the whole register), with no permutation, since the
-two reversals cancel.  A gate-by-gate executor in the tests is the
-reference the engine is checked against.
+of drawn parameters.  Consecutive Hadamards on up to k neighbouring bits
+(k = 2 below n_q = 9, 3 from there on) fuse into one group: the
+diagonal gates among the group's bits join it, and a diagonal gate that
+reaches outside them commutes past the group's Hadamards to the run
+before or after it.  Each member then applies one dense 2^k x 2^k
+unitary per group.  A bit reversal only relabels which physical bit
+carries each qubit.  One sawtooth step is then about 2 n_q / k dense
+passes and as many phase tables (8 and 8 at n_q = 12), with no
+permutation, since the two reversals cancel.  A gate-by-gate executor
+in the tests is the reference the engine is checked against.
 """
 
 from __future__ import annotations
@@ -190,30 +194,79 @@ def bit_reversal_permutation(n_q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels: amps has shape (members, N), C contiguous
+# compiling: Hadamard groups and diagonal runs over physical bits
 # ---------------------------------------------------------------------------
 
-def _qubit_views(amps, n_q, t):
-    m = amps.shape[0]
-    return amps.reshape(m, 1 << (n_q - 1 - t), 2, 1 << t)
+def _block_bits(n_q):
+    """Widest Hadamard group, in bits, for an n_q-qubit register.
 
-
-def _apply_h_tilted(amps, n_q, t, nu1, nu2):
-    """Pi rotation about the tilted axis, batched over members.
-
-    Matrix [[cos th, sin th e^{-i phi}], [sin th e^{i phi}, -cos th]]
-    with th = pi/4 + nu1, phi = nu2; nu arrays have length members.
+    Three-bit unitaries pay for their larger build once the register is
+    big enough that the passes over the block dominate a step.
     """
-    th = math.pi / 4.0 + nu1
-    c = np.cos(th)[:, None, None]
-    s = np.sin(th)
-    ep = (s * np.exp(1j * nu2))[:, None, None]
-    em = (s * np.exp(-1j * nu2))[:, None, None]
-    v = _qubit_views(amps, n_q, t)
-    a = v[:, :, 0, :].copy()
-    b = v[:, :, 1, :]
-    v[:, :, 0, :] = c * a + em * b
-    v[:, :, 1, :] = ep * a - c * b
+    return 3 if n_q >= 9 else 2
+
+
+def _split(window, width):
+    """Sort the diagonal gates of a Hadamard group, or None if illegal.
+
+    ``window`` runs from the group's first Hadamard to its last.  The
+    group acts on the contiguous bits lo..top of its Hadamards, at most
+    ``width`` of them.  A diagonal gate inside those bits stays in the
+    group; one reaching outside them commutes to before the group when
+    no earlier group Hadamard touches it, else to after the group when
+    no later one does.  Returns (lo, bits, before, inside, after).
+    """
+    hs = [(p, op[2]) for p, op in enumerate(window) if op[0] == HADAMARD]
+    lo = min(t for _, t in hs)
+    top = max(t for _, t in hs)
+    if top - lo >= width:
+        return None
+    before, inside, after = [], [], []
+    for p, (kind, c, t, *_) in enumerate(window):
+        bits = (c, t) if kind == CPHASE else (t,)
+        if all(lo <= b <= top for b in bits):
+            inside.append(window[p])
+        elif not any(q < p and h in bits for q, h in hs):
+            before.append(window[p])
+        elif not any(q > p and h in bits for q, h in hs):
+            after.append(window[p])
+        else:
+            return None
+    return lo, top - lo + 1, before, inside, after
+
+
+def _grouped(ops, width):
+    """Split physical-bit gates into diagonal runs and Hadamard groups.
+
+    Each group extends, Hadamard by Hadamard, while :func:`_split`
+    still accepts it.  Returns ("d", gates) and ("g", lo, bits, gates)
+    items in execution order.
+    """
+    items, run, i = [], [], 0
+    while i < len(ops):
+        if ops[i][0] != HADAMARD:
+            run.append(ops[i])
+            i += 1
+            continue
+        end, split = i, _split(ops[i:i + 1], width)
+        nxt = i + 1
+        while True:
+            while nxt < len(ops) and ops[nxt][0] != HADAMARD:
+                nxt += 1
+            wider = nxt < len(ops) and _split(ops[i:nxt + 1], width)
+            if not wider:
+                break
+            end, split = nxt, wider
+            nxt += 1
+        lo, bits, before, inside, after = split
+        run += before
+        if run:
+            items.append(("d", run))
+        items.append(("g", lo, bits, inside))
+        run, i = after, end + 1
+    if run:
+        items.append(("d", run))
+    return items
 
 
 class _DiagonalRun:
@@ -229,6 +282,15 @@ class _DiagonalRun:
     def __init__(self):
         self.angles = {}  # key -> fixed angle
         self.terms = []  # (key, flat parameter index, sign)
+
+    def add(self, op, lo=0):
+        """Add a (kind, control, target, angle, gate index) gate, its
+        bits counted from bit ``lo``."""
+        kind, c, t, angle, gi = op
+        if kind == CPHASE:
+            self.cphase(c - lo, t - lo, angle, gi)
+        else:
+            self.phase(t - lo, angle, gi)
 
     def _add(self, gi, angle_key, angle, expansion):
         for key, k, sign in expansion:
@@ -255,6 +317,10 @@ class _DiagonalRun:
                   (((), 0, 1.0), ((t,), 1, 1.0), ((t,), 0, -1.0)))
 
 
+# ---------------------------------------------------------------------------
+# batched kernels: amps has shape (members, N), C contiguous
+# ---------------------------------------------------------------------------
+
 def _doubled(lower, factor):
     """[lower, lower * factor] along the last axis.
 
@@ -264,11 +330,11 @@ def _doubled(lower, factor):
     so an in-place doubling would make a member's row depend on the
     size of its block.
     """
-    m, size = lower.shape
-    out = np.empty((m, 2, size), dtype=complex)
-    out[:, 0] = lower
-    np.multiply(lower, factor, out=out[:, 1])
-    return out.reshape(m, 2 * size)
+    *lead, size = lower.shape
+    out = np.empty((*lead, 2, size), dtype=complex)
+    out[..., 0, :] = lower
+    np.multiply(lower, factor, out=out[..., 1, :])
+    return out.reshape(*lead, 2 * size)
 
 
 def _bit_factor(phases, lin, quads):
@@ -276,12 +342,14 @@ def _bit_factor(phases, lin, quads):
 
     (members, 2^j) table, or (members, 1) when the run couples bit j
     to no lower bit: the linear factor times the quadratic factors of
-    the lower bits that are set.
+    the lower bits that are set.  Slots given as (groups,) index arrays
+    give a (members, groups, ...) table, one per group.
     """
     f = phases[:, lin, None]
     if any(s is not None for s in quads):
         for s in quads:
-            f = np.hstack((f, f)) if s is None else _doubled(f, phases[:, s, None])
+            f = (np.concatenate((f, f), axis=-1) if s is None
+                 else _doubled(f, phases[:, s, None]))
     return f
 
 
@@ -295,7 +363,7 @@ def _phase_table(phases, const, bits):
     table = phases[:, const, None]
     for lin, quads in bits:
         if lin is None:  # a bit the run leaves alone
-            table = np.hstack((table, table))
+            table = np.concatenate((table, table), axis=-1)
         else:
             table = _doubled(table, _bit_factor(phases, lin, quads))
     return table
@@ -306,7 +374,8 @@ def _apply_run(amps, phases, const, bits):
 
     The table covers the bits below the run's highest bit, and the
     highest bit's factor then multiplies the upper half in place, so
-    no full-size table is built.  A one-bit run applies its two-entry
+    no full-size table is built, and the two half-size tables are not
+    held at once.  A one-bit run applies its two-entry
     table whole: an in-place multiply that reaches one amplitude per
     member loops over the members, and numpy rounds that loop
     differently for one member than for several.
@@ -317,102 +386,229 @@ def _apply_run(amps, phases, const, bits):
         view *= _phase_table(phases, const, bits)[:, None, :]
         return
     *low, (lin, quads) = bits
-    table = _phase_table(phases, const, low)
-    view = amps.reshape(m, -1, 2, table.shape[1])
-    view *= table[:, None, None, :]
+    view = amps.reshape(m, -1, 2, 1 << len(low))
+    view *= _phase_table(phases, const, low)[:, None, None, :]
     upper = view[:, :, 1, :]
     upper *= _bit_factor(phases, lin, quads)[:, None, :]
 
 
-class CircuitEngine:
-    """Executes a program on (members, N) amplitude blocks in place.
+def _tilted(w, b, c, em, ep):
+    """Tilted Hadamard on bit ``b`` of the last axis of ``w``, to a new array.
 
-    The program is compiled once into segments: one tilted Hadamard
-    per Hadamard gate, and one phase table per run of consecutive
-    diagonal gates (cphase and phase gates, across bit reversals too).
-    A bit reversal moves no data: it relabels the qubits, and later
-    gates act on the physical bit their qubit sits on.  Only a program
-    that ends with its qubits reversed permutes the block, once.  The
-    program's phase offset joins the constant of the last run.
+    The 2x2 matrix is [[c, em], [ep, -c]], with c = cos(pi/4 + nu1) and
+    ep = conj(em) = sin(pi/4 + nu1) e^{i nu2}, broadcast against the
+    leading axes of ``w``.
+    """
+    v = w.reshape(*w.shape[:-1], -1, 2, 1 << b)
+    a, z = v[..., 0, :], v[..., 1, :]
+    out = np.empty_like(v)
+    np.add(c * a, em * z, out=out[..., 0, :])
+    np.subtract(ep * a, c * z, out=out[..., 1, :])
+    return out.reshape(w.shape)
+
+
+def _unitaries(m, bits, ops, hadamard, phases):
+    """(members, groups, 2^bits, 2^bits) images of the basis states.
+
+    Row j of a group's matrix is the group applied to basis state j, so
+    the matrix is the group's unitary U transposed.  ``ops`` is the
+    shared local structure with per-group index arrays: ("h", bit,
+    Hadamard indices) and ("d", None, [constant slots, per-bit slots]).
+    """
+    size = 1 << bits
+    w = np.zeros((m, len(ops[0][2]), size, size), dtype=complex)
+    w[..., range(size), range(size)] = 1.0
+    for kind, bit, index in ops:
+        if kind == "h":
+            w = _tilted(w, bit, *(f[:, index, None, None, None] for f in hadamard))
+        else:
+            w = w * _phase_table(phases, *index)[:, :, None, :]
+    return w
+
+
+def _apply_block(amps, w, lo, out):
+    """A group's unitary on bits lo.. of ``amps``, written to ``out``.
+
+    ``w`` (members, 2^bits, 2^bits) is the transposed unitary.  At bit
+    0 the block's rows are right-multiplied by it; higher up the
+    unitary left-multiplies the (2^bits, 2^lo) slices.  Either way each
+    member gets its own matrix products, so its row does not depend on
+    the other members.
+    """
+    m = amps.shape[0]
+    size = w.shape[-1]
+    if lo == 0:
+        np.matmul(amps.reshape(m, -1, size), w, out=out.reshape(m, -1, size))
+    else:
+        shape = (m, -1, size, 1 << lo)
+        np.matmul(w.swapaxes(1, 2)[:, None], amps.reshape(shape),
+                  out=out.reshape(shape))
+
+
+class CircuitEngine:
+    """Executes a program on (members, N) amplitude blocks.
+
+    The program is compiled once into segments: Hadamard groups and
+    phase tables.  A group collects consecutive Hadamards on at most k
+    contiguous physical bits (k from n_q, see :func:`_block_bits`),
+    with the diagonal gates between them.  A diagonal gate inside the
+    group's bits stays in the group; one that reaches outside commutes
+    to before the group when no earlier group Hadamard touches its
+    bits, else to after it when no later one does, and joins that
+    phase table; where neither holds, the group ends before the next
+    Hadamard, down to one Hadamard as a 2 x 2 block.  Each run of
+    diagonal gates between groups is one phase table (cphase and phase
+    gates, across bit reversals too).  A bit reversal moves no data: it
+    relabels the qubits, and later gates act on the physical bit their
+    qubit sits on.  Only a program that ends with its qubits reversed
+    permutes the block, once.  The program's phase offset joins the
+    constant of the last table.
 
     Parameters arrive as a (members, noisy_gate_count, 4) block per
-    step.  Every operation across members is elementwise or a
-    per-member reduction, so a member's row does not depend on which
-    other members share its block.
+    step.  A step takes the cosines, sines and exponentials of all the
+    Hadamard parameters at once and builds the (members, 2^k, 2^k)
+    unitaries of all groups with one local structure together (the
+    groups of a ladder share one).  A group at bit 0 right-multiplies
+    the block viewed as (members, N / 2^k, 2^k); a group higher up
+    left-multiplies the (2^k, 2^lo) slices below its lowest bit lo.
+    The dense passes alternate between the block and one spare block.
+    Every other operation across members is elementwise or a
+    per-member reduction, and each matrix product takes one member's
+    unitary and rows, so a member's row does not depend on which other
+    members share its block.
     """
 
     def __init__(self, program: CircuitProgram):
         self.program = program
         self.n_q = n_q = program.n_q
-        # ("h", bit, gate index) or ("d", constant slot, per-bit slots)
-        self.segments = []
-        runs = []
-        flipped = False
-        gi = 0
+        ops, flipped, gi = [], False, 0
         for g in program.gates:
             if g.kind == BITREV:
                 flipped = not flipped
                 continue
             c, t = (n_q - 1 - q if flipped else q for q in (g.control, g.target))
-            if g.kind == HADAMARD:
-                self.segments.append(("h", t, gi))
-            else:
-                if not self.segments or self.segments[-1][0] != "d":
-                    runs.append(_DiagonalRun())
-                    self.segments.append(("d", runs[-1], None))
-                if g.kind == CPHASE:
-                    runs[-1].cphase(c, t, g.angle, gi)
-                else:
-                    runs[-1].phase(t, g.angle, gi)
+            ops.append((g.kind, c, t, g.angle, gi))
             gi += 1
         self.reversed = flipped
         self._perm = None  # built at the first step that needs it
+
+        hadamards = []  # gate index of every Hadamard, in order
+        runs = []  # (run, bits its table spans, None for all it touches)
+        layout = []  # ("d", run) or ("g", lo, bits, local ops)
+        for item in _grouped(ops, _block_bits(n_q)):
+            if item[0] == "d":
+                runs.append((_DiagonalRun(), None))
+                for op in item[1]:
+                    runs[-1][0].add(op)
+                layout.append(("d", len(runs) - 1))
+                continue
+            _, lo, bits, gates = item
+            local = []  # ("h", bit, Hadamard) or ("d", None, run)
+            for op in gates:
+                if op[0] == HADAMARD:
+                    local.append(("h", op[2] - lo, len(hadamards)))
+                    hadamards.append(op[4])
+                    continue
+                if local[-1][0] != "d":
+                    runs.append((_DiagonalRun(), bits))
+                    local.append(("d", None, len(runs) - 1))
+                runs[-1][0].add(op, lo)
+            layout.append(("g", lo, bits, local))
         self._scale = None
         if runs:
-            runs[-1].angles[()] += program.phase_offset
+            runs[-1][0].angles[()] += program.phase_offset
         elif program.phase_offset != 0.0:
             self._scale = complex(np.exp(1j * program.phase_offset))
 
         # every coefficient of every run gets a slot; one gather and
         # one per-slot reduction compute them all
-        angles, terms = [], []
-        for pos, (kind, run, _) in enumerate(self.segments):
-            if kind != "d":
-                continue
+        angles, terms, tables = [], [], []
+        for run, span in runs:
             slot = {key: len(angles) + n for n, key in enumerate(run.angles)}
             angles += run.angles.values()
             terms += [(slot[key], p, sign) for key, p, sign in run.terms]
-            h = 1 + max(max(key) for key in run.angles if key)
-            bits = [(slot.get((j,)), [slot.get((i, j)) for i in range(j)])
-                    for j in range(h)]
-            self.segments[pos] = ("d", slot[()], bits)
+            if span is None:
+                span = 1 + max(max(key) for key in run.angles if key)
+            tables.append((slot[()], [
+                (slot.get((j,)), [slot.get((i, j)) for i in range(j)])
+                for j in range(span)]))
         terms.sort(key=lambda term: term[0])
         self._angles = np.array(angles)
         self._params = np.array([p for _, p, _ in terms], dtype=np.intp)
         self._signs = np.array([sign for _, _, sign in terms])
         self._starts = np.flatnonzero(np.diff([-1] + [s for s, _, _ in terms]))
+        self._hadamards = np.array(hadamards, dtype=np.intp)
+
+        # groups with one local structure (bits, Hadamard positions, the
+        # terms of each phase table) form a batch whose unitaries are
+        # built together, from stacked Hadamard and slot indices
+        batches = {}  # structure -> (batch, bits, local ops, indices)
+        self.segments = []  # ("d", constant slot, per-bit slots, None)
+        # or ("g", batch, group in batch, lowest bit)
+        for item in layout:
+            if item[0] == "d":
+                self.segments.append(("d", *tables[item[1]], None))
+                continue
+            _, lo, bits, local = item
+            shape = (bits,) + tuple(
+                (kind, a if kind == "h" else frozenset(runs[b][0].angles))
+                for kind, a, b in local)
+            batch = batches.setdefault(shape, (len(batches), bits, local, []))
+            self.segments.append(("g", batch[0], len(batch[3]), lo))
+            batch[3].append([b if kind == "h" else tables[b]
+                             for kind, _, b in local])
+        self._batches = [
+            (bits, [(kind, a, _stacked(index))
+                    for (kind, a, _), index in zip(local, zip(*groups))])
+            for _, bits, local, groups in batches.values()]
 
     def step_noisy(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """params: (members, noisy_gate_count, 4) in program gate order."""
-        n_q = self.n_q
+        """Evolved block; ``amps`` may be overwritten.
+
+        params: (members, noisy_gate_count, 4) in program gate order.
+        """
         m = amps.shape[0]
+        phases = hadamard = None
         if self._angles.size:
             coef = np.add.reduceat(params.reshape(m, -1)[:, self._params]
                                    * self._signs, self._starts, axis=1)
             coef += self._angles
             phases = np.exp(1j * coef)
-        for kind, a, b in self.segments:
-            if kind == "h":
-                _apply_h_tilted(amps, n_q, a, params[:, b, 0], params[:, b, 1])
-            else:
+        if self._hadamards.size:
+            nu = params[:, self._hadamards]
+            th = math.pi / 4.0 + nu[:, :, 0]
+            tilt = np.sin(th) * np.exp(1j * nu[:, :, 1])
+            hadamard = (np.cos(th), tilt.conj(), tilt)
+        blocks = [_unitaries(m, bits, ops, hadamard, phases)
+                  for bits, ops in self._batches]
+        spare = None  # the groups alternate between amps and one spare block
+        for kind, a, b, lo in self.segments:
+            if kind == "d":
                 _apply_run(amps, phases, a, b)
+                continue
+            if spare is None:
+                spare = np.empty_like(amps)
+            _apply_block(amps, blocks[a][:, b], lo, spare)
+            amps, spare = spare, amps
         if self._scale is not None:
             amps *= self._scale
         if self.reversed:
             if self._perm is None:
-                self._perm = bit_reversal_permutation(n_q)
+                self._perm = bit_reversal_permutation(self.n_q)
             amps = np.ascontiguousarray(amps[:, self._perm])
         return amps
+
+
+def _stacked(items):
+    """Same-shaped nested indices of several groups as (groups,) arrays.
+
+    The leaves are ints (stacked into an index array) or None (kept).
+    """
+    if items[0] is None:
+        return None
+    if isinstance(items[0], (tuple, list)):
+        return [_stacked(parts) for parts in zip(*items)]
+    return np.array(items)
 
 
 def circuit_deviation(lattice: LatticeParams, n_states: int = 20,

@@ -3,9 +3,10 @@
 Walks the gate list one kernel per gate, with a full permutation at
 every bit reversal and the phase offset applied as a last pass.  The
 compiled :class:`sawtoothsim.circuit.CircuitEngine` must agree with it
-to rounding level.  Only the tilted Hadamard kernel is shared with the
-package; it is checked against textbook matrices on its own.
+to rounding level.  It shares no kernel with the package.
 """
+
+import math
 
 import numpy as np
 
@@ -13,10 +14,31 @@ from sawtoothsim.circuit import (
     CPHASE,
     HADAMARD,
     PHASE1,
-    _apply_h_tilted,
-    _qubit_views,
     bit_reversal_permutation,
 )
+
+
+def _qubit_views(amps, n_q, t):
+    m = amps.shape[0]
+    return amps.reshape(m, 1 << (n_q - 1 - t), 2, 1 << t)
+
+
+def _apply_h_tilted(amps, n_q, t, nu1, nu2):
+    """Pi rotation about the tilted axis, batched over members.
+
+    Matrix [[cos th, sin th e^{-i phi}], [sin th e^{i phi}, -cos th]]
+    with th = pi/4 + nu1, phi = nu2; nu arrays have length members.
+    """
+    th = math.pi / 4.0 + nu1
+    c = np.cos(th)[:, None, None]
+    s = np.sin(th)
+    ep = (s * np.exp(1j * nu2))[:, None, None]
+    em = (s * np.exp(-1j * nu2))[:, None, None]
+    v = _qubit_views(amps, n_q, t)
+    a = v[:, :, 0, :].copy()
+    b = v[:, :, 1, :]
+    v[:, :, 0, :] = c * a + em * b
+    v[:, :, 1, :] = ep * a - c * b
 
 
 def _cp_views(amps, n_q, qa, qb):

@@ -1,6 +1,9 @@
 """Gate layer: counts, kernels, noise draws, engine equivalences."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -396,12 +399,15 @@ def test_one_kind_programs_match_reference(kind, n_q):
 
 
 def test_sawtooth_step_moves_no_data():
-    # the two reversals cancel: no permutation, one table per run
-    prog = build_sawtooth_circuit(LatticeParams(n_q=5, K=0.1))
-    engine = CircuitEngine(prog)
-    kinds = [seg[0] for seg in engine.segments]
-    assert not engine.reversed
-    assert kinds.count("h") == 10 and kinds.count("d") == 10
+    # the two reversals cancel: no permutation.  Each ladder's
+    # Hadamards fuse into groups of up to two bits below n_q = 9 and
+    # three from there on, and one phase table runs after each group
+    for n_q, groups in ((5, 6), (8, 8), (9, 6), (12, 8)):
+        prog = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=0.1))
+        engine = CircuitEngine(prog)
+        kinds = [seg[0] for seg in engine.segments]
+        assert not engine.reversed
+        assert kinds == ["g", "d"] * groups
 
 
 @settings(max_examples=20, deadline=None)
@@ -414,3 +420,49 @@ def test_member_rows_independent_of_block_size(program, members, eps, seed):
     for i in range(members):
         one = engine.step_noisy(amps[i:i + 1].copy(), params[i:i + 1])
         assert np.array_equal(one[0], out[i])
+
+
+@pytest.mark.parametrize("n_q", [11, 12])
+def test_large_sawtooth_step_matches_reference(n_q):
+    # above the hypothesis property's range: three-bit groups at bit 0,
+    # in the middle and at the top of the register, with a one- or
+    # two-bit group where n_q is not a multiple of three
+    for K in (0.1, -0.5, 3.0):
+        program = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=K))
+        amps, params = noisy_inputs(program, 2, 0.1, seed=n_q)
+        out = CircuitEngine(program).step_noisy(amps.copy(), params)
+        ref = reference_step(program, amps.copy(), params)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+ROWS_AT_12 = """
+import numpy as np
+from sawtoothsim.circuit import CircuitEngine, build_sawtooth_circuit
+from sawtoothsim.states import LatticeParams
+
+program = build_sawtooth_circuit(LatticeParams(n_q=12, K=0.1))
+engine = CircuitEngine(program)
+rng = np.random.default_rng(5)
+amps = rng.normal(size=(50, 4096)) + 1j * rng.normal(size=(50, 4096))
+params = rng.uniform(-0.05, 0.05, (50, program.noisy_gate_count, 4))
+out = engine.step_noisy(amps.copy(), params)
+print(sum(not np.array_equal(engine.step_noisy(amps[i:i + 1].copy(),
+                                               params[i:i + 1])[0], out[i])
+          for i in range(50)))
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_member_rows_independent_of_block_size_at_12(blas_threads):
+    # the dense passes go through BLAS: right multiplies for the groups
+    # at bit 0, left multiplies above, each one per member.  A member's
+    # row must not depend on its block, at any BLAS thread count
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = blas_threads
+    run = subprocess.run([sys.executable, "-c", ROWS_AT_12], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
