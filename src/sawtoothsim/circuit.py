@@ -40,23 +40,26 @@ Engine: :class:`CircuitEngine` compiles a program once.  Diagonal gates
 between two Hadamards commute, and each noisy one adds a phase that is
 affine in its sector bits, so a run of them collapses, per member, into
 one phase table over the bits it touches: a constant plus linear and
-pairwise bit terms whose coefficients are fixed angles plus signed sums
-of drawn parameters.  Consecutive Hadamards on up to k neighbouring bits
-(k = 2 below n_q = 9, 3 from there on) fuse into one group: the
-diagonal gates among the group's bits join it, and a diagonal gate that
-reaches outside them commutes past the group's Hadamards to the run
-before or after it.  Each member then applies one dense 2^k x 2^k
-unitary per group.  A bit reversal only relabels which physical bit
-carries each qubit.  One sawtooth step is then about 2 n_q / k dense
-passes and as many phase tables (8 and 8 at n_q = 12), with no
-permutation, since the two reversals cancel.  A gate-by-gate executor
-in the tests is the reference the engine is checked against.
+pairwise bit terms whose coefficients are fixed angles plus sums of the
+gates' sector differences e00, e01 - e00, e10 - e00 and
+e11 - e10 - e01 + e00 (see :class:`_Slots`).  Consecutive
+Hadamards on up to k neighbouring bits (k = 2 below n_q = 9, 3 from
+there on) fuse into one group: the diagonal gates among the group's
+bits join it, and a diagonal gate that reaches outside them commutes
+past the group's Hadamards to the run before or after it.  Each member
+then applies one dense 2^k x 2^k unitary per group.  A bit reversal
+only relabels which physical bit carries each qubit.  One sawtooth step
+is then about 2 n_q / k dense passes and as many phase tables (8 and 8
+at n_q = 12), with no permutation, since the two reversals cancel.  A
+gate-by-gate executor in the tests is the reference the engine is
+checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -269,52 +272,51 @@ def _grouped(ops, width):
     return items
 
 
-class _DiagonalRun:
-    """Phase of a run of consecutive diagonal gates, over physical bits.
+class _Slots:
+    """Coefficient slots of all phase tables, allocated run by run.
 
-    A basis index with bits b_j picks up the phase
-    const + sum_j a_j b_j + sum_{i<j} a_ij b_i b_j, and every
-    coefficient is a fixed angle plus a signed sum of drawn gate
-    parameters.  Keys name the coefficients: () the constant, (j,) a
-    linear and (i, j) a quadratic one.
+    A run of diagonal gates multiplies a basis index with bits b_j by
+    the phase const + sum_j a_j b_j + sum_{i<j} a_ij b_i b_j.  Each
+    coefficient has a slot, whose value is a fixed angle plus a sum of
+    sector differences, given as flat indices into the (members,
+    gates * 4) difference block.  A noisy cphase with sector phases
+    e00, e01, e10, e11 (control bit, target bit) adds e00 to the
+    constant, e01 - e00 to the target bit, e10 - e00 to the control
+    bit, and e11 - e10 - e01 + e00 plus its angle to the pair; a phase
+    gate adds e0 to the constant and e1 - e0 plus its angle to its bit.
     """
 
     def __init__(self):
-        self.angles = {}  # key -> fixed angle
-        self.terms = []  # (key, flat parameter index, sign)
+        self.angles = []  # per slot: fixed angle
+        self.terms = []  # per slot: flat indices of its differences
 
-    def add(self, op, lo=0):
-        """Add a (kind, control, target, angle, gate index) gate, its
-        bits counted from bit ``lo``."""
-        kind, c, t, angle, gi = op
-        if kind == CPHASE:
-            self.cphase(c - lo, t - lo, angle, gi)
-        else:
-            self.phase(t - lo, angle, gi)
+    def run(self, gates, lo=0, span=None):
+        """Allocate the slots of one run, its bits counted from ``lo``.
 
-    def _add(self, gi, angle_key, angle, expansion):
-        for key, k, sign in expansion:
-            self.angles.setdefault(key, 0.0)
-            self.terms.append((key, gi * PARAMS_PER_GATE + k, sign))
-        self.angles[angle_key] += angle
-
-    def cphase(self, c, t, angle, gi):
-        """Noisy cphase on bits c, t, its sector phases expanded as
-
-        e00 + (e10 - e00) b_c + (e01 - e00) b_t
-            + (angle + e11 - e10 - e01 + e00) b_c b_t,
-        with sectors (b_c b_t) = 00, 01, 10, 11 at parameters 0..3.
+        Returns the run's keys (() the constant, (j,) bit j, (i, j) the
+        pair i < j) and its table: the constant slot and, for each bit
+        j below ``span`` (default: the highest bit touched, plus one),
+        its linear slot and its pair slots with the bits i < j, None
+        where the run has no such term.
         """
-        q = (min(c, t), max(c, t))
-        self._add(gi, q, angle, (
-            ((), 0, 1.0), ((c,), 2, 1.0), ((c,), 0, -1.0), ((t,), 1, 1.0),
-            ((t,), 0, -1.0), (q, 3, 1.0), (q, 2, -1.0), (q, 1, -1.0),
-            (q, 0, 1.0)))
-
-    def phase(self, t, angle, gi):
-        """Noisy phase gate on bit t: e0 + (angle + e1 - e0) b_t."""
-        self._add(gi, (t,), angle,
-                  (((), 0, 1.0), ((t,), 1, 1.0), ((t,), 0, -1.0)))
+        slots = {}
+        for kind, c, t, angle, gi in gates:
+            # key k takes the gate's sector difference k
+            keys = [(), (t - lo,)]
+            if kind == CPHASE:
+                keys += [(c - lo,), (min(c, t) - lo, max(c, t) - lo)]
+            for k, key in enumerate(keys):
+                if key not in slots:
+                    slots[key] = len(self.angles)
+                    self.angles.append(0.0)
+                    self.terms.append([])
+                self.terms[slots[key]].append(gi * PARAMS_PER_GATE + k)
+            self.angles[slots[key]] += angle  # the last key carries it
+        if span is None:
+            span = 1 + max(max(key) for key in slots if key)
+        return frozenset(slots), (slots[()], [
+            (slots.get((j,)), [slots.get((i, j)) for i in range(j)])
+            for j in range(span)])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +415,7 @@ def _unitaries(m, bits, ops, hadamard, phases):
     Row j of a group's matrix is the group applied to basis state j, so
     the matrix is the group's unitary U transposed.  ``ops`` is the
     shared local structure with per-group index arrays: ("h", bit,
-    Hadamard indices) and ("d", None, [constant slots, per-bit slots]).
+    Hadamard indices) and ("d", keys, [constant slots, per-bit slots]).
     """
     size = 1 << bits
     w = np.zeros((m, len(ops[0][2]), size, size), dtype=complex)
@@ -462,13 +464,17 @@ class CircuitEngine:
     relabels the qubits, and later gates act on the physical bit their
     qubit sits on.  Only a program that ends with its qubits reversed
     permutes the block, once.  The program's phase offset joins the
-    constant of the last table.
+    constant of the first table.
 
     Parameters arrive as a (members, noisy_gate_count, 4) block per
-    step.  A step takes the cosines, sines and exponentials of all the
-    Hadamard parameters at once and builds the (members, 2^k, 2^k)
-    unitaries of all groups with one local structure together (the
-    groups of a ladder share one).  A group at bit 0 right-multiplies
+    step.  A step first takes every gate's four sector differences
+    with elementwise operations on the whole block; each coefficient of
+    every phase table is then its fixed angle plus a sum of gathered
+    differences, all slots in one reduction (see :class:`_Slots`).  It
+    takes the cosines, sines and exponentials of all the Hadamard
+    parameters at once and builds the (members, 2^k, 2^k) unitaries of
+    all groups with one local structure together (the groups of a
+    ladder share one).  A group at bit 0 right-multiplies
     the block viewed as (members, N / 2^k, 2^k); a group higher up
     left-multiplies the (2^k, 2^lo) slices below its lowest bit lo.
     The dense passes alternate between the block and one spare block.
@@ -492,75 +498,50 @@ class CircuitEngine:
         self.reversed = flipped
         self._perm = None  # built at the first step that needs it
 
+        slots = _Slots()
         hadamards = []  # gate index of every Hadamard, in order
-        runs = []  # (run, bits its table spans, None for all it touches)
-        layout = []  # ("d", run) or ("g", lo, bits, local ops)
-        for item in _grouped(ops, _block_bits(n_q)):
-            if item[0] == "d":
-                runs.append((_DiagonalRun(), None))
-                for op in item[1]:
-                    runs[-1][0].add(op)
-                layout.append(("d", len(runs) - 1))
-                continue
-            _, lo, bits, gates = item
-            local = []  # ("h", bit, Hadamard) or ("d", None, run)
-            for op in gates:
-                if op[0] == HADAMARD:
-                    local.append(("h", op[2] - lo, len(hadamards)))
-                    hadamards.append(op[4])
-                    continue
-                if local[-1][0] != "d":
-                    runs.append((_DiagonalRun(), bits))
-                    local.append(("d", None, len(runs) - 1))
-                runs[-1][0].add(op, lo)
-            layout.append(("g", lo, bits, local))
-        self._scale = None
-        if runs:
-            runs[-1][0].angles[()] += program.phase_offset
-        elif program.phase_offset != 0.0:
-            self._scale = complex(np.exp(1j * program.phase_offset))
-
-        # every coefficient of every run gets a slot; one gather and
-        # one per-slot reduction compute them all
-        angles, terms, tables = [], [], []
-        for run, span in runs:
-            slot = {key: len(angles) + n for n, key in enumerate(run.angles)}
-            angles += run.angles.values()
-            terms += [(slot[key], p, sign) for key, p, sign in run.terms]
-            if span is None:
-                span = 1 + max(max(key) for key in run.angles if key)
-            tables.append((slot[()], [
-                (slot.get((j,)), [slot.get((i, j)) for i in range(j)])
-                for j in range(span)]))
-        terms.sort(key=lambda term: term[0])
-        self._angles = np.array(angles)
-        self._params = np.array([p for _, p, _ in terms], dtype=np.intp)
-        self._signs = np.array([sign for _, _, sign in terms])
-        self._starts = np.flatnonzero(np.diff([-1] + [s for s, _, _ in terms]))
-        self._hadamards = np.array(hadamards, dtype=np.intp)
-
         # groups with one local structure (bits, Hadamard positions, the
-        # terms of each phase table) form a batch whose unitaries are
+        # keys of each phase table) form a batch whose unitaries are
         # built together, from stacked Hadamard and slot indices
-        batches = {}  # structure -> (batch, bits, local ops, indices)
+        batches = {}  # structure -> (batch, per-group indices)
         self.segments = []  # ("d", constant slot, per-bit slots, None)
         # or ("g", batch, group in batch, lowest bit)
-        for item in layout:
+        for item in _grouped(ops, _block_bits(n_q)):
             if item[0] == "d":
-                self.segments.append(("d", *tables[item[1]], None))
+                self.segments.append(("d", *slots.run(item[1])[1], None))
                 continue
-            _, lo, bits, local = item
-            shape = (bits,) + tuple(
-                (kind, a if kind == "h" else frozenset(runs[b][0].angles))
-                for kind, a, b in local)
-            batch = batches.setdefault(shape, (len(batches), bits, local, []))
-            self.segments.append(("g", batch[0], len(batch[3]), lo))
-            batch[3].append([b if kind == "h" else tables[b]
-                             for kind, _, b in local])
+            _, lo, bits, gates = item
+            shape, index = [bits], []
+            for diagonal, part in groupby(gates,
+                                          lambda op: op[0] != HADAMARD):
+                if diagonal:
+                    keys, table = slots.run(part, lo, bits)
+                    shape.append(("d", keys))
+                    index.append(table)
+                    continue
+                for op in part:
+                    shape.append(("h", op[2] - lo))
+                    index.append(len(hadamards))
+                    hadamards.append(op[4])
+            batch = batches.setdefault(tuple(shape), (len(batches), []))
+            self.segments.append(("g", batch[0], len(batch[1]), lo))
+            batch[1].append(index)
         self._batches = [
-            (bits, [(kind, a, _stacked(index))
-                    for (kind, a, _), index in zip(local, zip(*groups))])
-            for _, bits, local, groups in batches.values()]
+            (shape[0], [(kind, a, _stacked(index))
+                        for (kind, a), index in zip(shape[1:], zip(*groups))])
+            for shape, (_, groups) in batches.items()]
+        self._hadamards = np.array(hadamards, dtype=np.intp)
+
+        self._scale = None
+        if slots.angles:
+            slots.angles[0] += program.phase_offset
+        elif program.phase_offset != 0.0:
+            self._scale = complex(np.exp(1j * program.phase_offset))
+        # one gather and one per-slot reduction compute every coefficient
+        self._angles = np.array(slots.angles)
+        self._terms = np.array([i for terms in slots.terms for i in terms],
+                               dtype=np.intp)
+        self._starts = np.cumsum([0] + [len(t) for t in slots.terms[:-1]])
 
     def step_noisy(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         """Evolved block; ``amps`` may be overwritten.
@@ -568,10 +549,19 @@ class CircuitEngine:
         params: (members, noisy_gate_count, 4) in program gate order.
         """
         m = amps.shape[0]
+        expected = (m, self.program.noisy_gate_count, PARAMS_PER_GATE)
+        if params.shape != expected:
+            raise ValueError(f"params has shape {params.shape}, "
+                             f"expected {expected}")
         phases = hadamard = None
         if self._angles.size:
-            coef = np.add.reduceat(params.reshape(m, -1)[:, self._params]
-                                   * self._signs, self._starts, axis=1)
+            # sector differences: e00, e01 - e00, e10 - e00 and
+            # e11 - e10 - e01 + e00 per gate
+            d = params - params[..., :1]
+            d[..., 0] = params[..., 0]
+            d[..., 3] -= d[..., 1] + d[..., 2]
+            coef = np.add.reduceat(d.reshape(m, -1)[:, self._terms],
+                                   self._starts, axis=1)
             coef += self._angles
             phases = np.exp(1j * coef)
         if self._hadamards.size:

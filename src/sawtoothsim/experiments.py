@@ -114,7 +114,6 @@ class ExperimentConfig:
     initial: str = "gaussian"
     theta0: float | None = 1.0
     p0: float | None = None
-    sigma: float | None = None
     t_max: int = 100
     n_states: int = 1
     n_noise: int = 1
@@ -130,7 +129,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite and >= 0")
         if self.initial not in ("gaussian", "random"):
             raise ValueError("initial must be 'gaussian' or 'random'")
-        for name in ("theta0", "p0", "sigma"):
+        for name in ("theta0", "p0"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
@@ -242,7 +241,7 @@ def _initial_block(config: ExperimentConfig) -> np.ndarray:
                 p0 = rng.uniform(-math.pi, math.pi)
             elif p0 is None:
                 p0 = 0.0
-            spec = WavePacketSpec(theta0=theta0, p0=p0, sigma=config.sigma)
+            spec = WavePacketSpec(theta0=theta0, p0=p0)
             block[s] = packet_amplitudes(spec, lattice)
     return block
 
@@ -440,6 +439,14 @@ def _point_seed(master_seed: int, index: int) -> int:
                .integers(2 ** 63))
 
 
+def _require_positive_epsilon(epsilons):
+    """Refuse a noiseless gate sweep: its step count scales as 1/eps^2."""
+    bad = [eps for eps in epsilons if not eps > 0]
+    if bad:
+        raise ValueError(f"epsilon must be > 0 for a gate sweep, "
+                         f"got {bad[0]!r}")
+
+
 def _tf_point(args):
     n_q, epsilon, K, n_noise, seed = args
     lattice = LatticeParams(n_q=n_q, K=K)
@@ -465,6 +472,7 @@ def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
     Every point starts from the packet at (1, 0).
     A point whose curve never crosses keeps its place with t_f = NaN.
     """
+    _require_positive_epsilon(epsilon_list)
     points = [(n_q, eps) for n_q in n_q_list for eps in epsilon_list]
     args = [(n_q, eps, K, n_noise, _point_seed(master_seed, i))
             for i, (n_q, eps) in enumerate(points)]
@@ -522,6 +530,7 @@ def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
     layer; "random" is a uniform-modulus random-phase state.  A point
     that cannot be fitted keeps its place with NaN rate and r^2.
     """
+    _require_positive_epsilon([epsilon])
     if t_max is None:
         n_g = 3 * n_q ** 2 + n_q
         t_max = int(min(max(40, 3.5 / (0.25 * epsilon ** 2 * n_g)), 20000))

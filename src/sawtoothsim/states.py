@@ -72,19 +72,18 @@ class WavePacketSpec:
 
     ``sigma`` is the e-folding half-width of the momentum probability
     density in integer-n units; None selects the symmetric default
-    sigma^2 = N / (2 pi L) for which the packet has equal angle and
+    sigma^2 = N / (2 pi) for which the packet has equal angle and
     momentum widths sqrt(T) (minimum uncertainty on the lattice).
     """
 
     theta0: float
     p0: float
     sigma: float | None = None
-    L: float = 1.0
 
     def resolved_sigma(self, lattice: LatticeParams) -> float:
         sigma = self.sigma
         if sigma is None:
-            sigma = math.sqrt(lattice.N / (TWO_PI * self.L))
+            sigma = math.sqrt(lattice.N / TWO_PI)
         if not sigma > 0:
             raise ValueError("sigma must be positive")
         if sigma > lattice.N / 6:

@@ -401,13 +401,16 @@ def test_one_kind_programs_match_reference(kind, n_q):
 def test_sawtooth_step_moves_no_data():
     # the two reversals cancel: no permutation.  Each ladder's
     # Hadamards fuse into groups of up to two bits below n_q = 9 and
-    # three from there on, and one phase table runs after each group
-    for n_q, groups in ((5, 6), (8, 8), (9, 6), (12, 8)):
+    # three from there on, and one phase table runs after each group.
+    # The full-width groups of each ladder build their unitaries in one
+    # batch; at n_q = 5 the one-bit groups of both ladders add a third
+    for n_q, groups, batches in ((5, 6, 3), (8, 8, 2), (9, 6, 2), (12, 8, 2)):
         prog = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=0.1))
         engine = CircuitEngine(prog)
         kinds = [seg[0] for seg in engine.segments]
         assert not engine.reversed
         assert kinds == ["g", "d"] * groups
+        assert len(engine._batches) == batches
 
 
 @settings(max_examples=20, deadline=None)
@@ -433,6 +436,22 @@ def test_large_sawtooth_step_matches_reference(n_q):
         out = CircuitEngine(program).step_noisy(amps.copy(), params)
         ref = reference_step(program, amps.copy(), params)
         assert np.max(np.abs(out - ref)) <= 1e-12
+
+
+def test_step_rejects_misshapen_params():
+    # a parameter block with extra gates, a missing sector, a wrong
+    # member count or no member axis is refused, not cut or broadcast
+    program = build_sawtooth_circuit(LatticeParams(n_q=3, K=0.1))
+    engine = CircuitEngine(program)
+    amps, params = noisy_inputs(program, 2, 1e-2, seed=0)
+    n_g = program.noisy_gate_count
+    for shape in ((2, n_g + 3, 4), (2, n_g - 1, 4), (2, n_g, 3), (1, n_g, 4),
+                  (n_g, 4)):
+        with pytest.raises(ValueError, match="params has shape"):
+            engine.step_noisy(amps.copy(), np.zeros(shape))
+    with pytest.raises(ValueError, match="params has shape"):
+        engine.step_noisy(amps[:1].copy(), np.zeros((1, n_g + 3, 4)))
+    engine.step_noisy(amps.copy(), params)
 
 
 ROWS_AT_12 = """

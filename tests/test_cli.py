@@ -237,6 +237,18 @@ class TestSweepCommands:
         assert run("rate-vs-k", "--K", "", "--out", str(out)) == 1
         assert not out.exists()
 
+    def test_zero_epsilon_is_a_config_error(self, tmp_path, capsys):
+        # both sweeps scale their step counts as 1 / epsilon^2; a zero
+        # anywhere in the grid is refused before any point runs
+        out = tmp_path / "sweep.csv"
+        for argv in (("tf-scan", "--nq", "4", "--epsilon", "0.05,0"),
+                     ("rate-vs-k", "--K", "0.5", "--nq", "4",
+                      "--epsilon", "0")):
+            assert run(*argv, "--ensemble", "2", "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert "config error: epsilon must be > 0" in err
+        assert not out.exists()
+
     def test_rate_vs_k_tiny(self, tmp_path):
         out = tmp_path / "rates.csv"
         code = run("rate-vs-k", "--K", "0.5", "--nq", "5",

@@ -286,9 +286,9 @@ class TestFidelityCurve:
                 ExperimentConfig(lattice=lat, epsilon=bad)
             with pytest.raises(ValueError):
                 ExperimentConfig(lattice=lat, channel="classical", delta_K=bad)
-        # a non-finite packet center or width would give a NaN curve
+        # a non-finite packet center would give a NaN curve
         for bad in (math.nan, math.inf, -math.inf):
-            for name in ("theta0", "p0", "sigma"):
+            for name in ("theta0", "p0"):
                 with pytest.raises(ValueError):
                     ExperimentConfig(lattice=lat, **{name: bad})
 
@@ -475,6 +475,22 @@ class TestSweeps:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
             sweep_tf([4], [0.05], K=5.0, n_noise=2, jobs=0)
+
+    def test_sweeps_refuse_nonpositive_epsilon(self, monkeypatch):
+        # the step count of both sweeps scales as 1 / epsilon^2: a zero
+        # or negative amplitude is refused before any point runs
+        def no_point(config):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(ex, "fidelity_curve", no_point)
+        for eps_list in ([0.0], [0.05, 0.0], [-0.01]):
+            with pytest.raises(ValueError, match="epsilon must be > 0"):
+                sweep_tf([4], eps_list, K=5.0, n_noise=2)
+        for eps in (0.0, -0.01):
+            for t_max in (None, 20):
+                with pytest.raises(ValueError, match="epsilon must be > 0"):
+                    sweep_rate_vs_K([0.5], n_q=4, epsilon=eps, n_noise=2,
+                                    t_max=t_max)
 
     def test_rate_sweep_records(self):
         recs = sweep_rate_vs_K(
