@@ -13,18 +13,17 @@ import math
 
 import numpy as np
 
-from sawtoothsim import ClassicalParams, PhasePoint, poincare_section
+from sawtoothsim import PhasePoint, poincare_section
 from sawtoothsim.io import write_poincare
 
 K = -0.5
 STEPS = 2000
 
-params = ClassicalParams(K=K)
 seeds = [PhasePoint(math.pi + r, 0.0) for r in (0.4, 0.8, 1.2, 1.6, 2.0, 2.5)]
 seeds.append(PhasePoint(math.pi, 2.4))   # secondary structure near the border
 seeds.append(PhasePoint(0.05, 0.0))      # diffusive web
 
-trajectories = poincare_section(seeds, params, STEPS)
+trajectories = poincare_section(seeds, K, STEPS)
 
 # occupancy: fraction of a coarse 16 x 16 grid each orbit touches
 print(f"sawtooth map, K = {K}, {STEPS} steps per seed")

@@ -7,12 +7,10 @@ between ideal and perturbed evolutions.
 """
 
 from .classical import (
-    ClassicalParams,
     PhasePoint,
     lyapunov_exponent,
     lyapunov_numeric,
     poincare_section,
-    trajectory,
 )
 from .states import (
     LatticeParams,
@@ -59,9 +57,8 @@ from .io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalParams", "PhasePoint",
+    "PhasePoint",
     "lyapunov_exponent", "lyapunov_numeric", "poincare_section",
-    "trajectory",
     "LatticeParams", "WavePacketSpec",
     "BatchPropagator", "step_exact",
     "CircuitEngine", "CircuitProgram", "Gate", "build_sawtooth_circuit",

@@ -546,9 +546,13 @@ class CircuitEngine:
     def step_noisy(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         """Evolved block; ``amps`` may be overwritten.
 
-        params: (members, noisy_gate_count, 4) in program gate order.
+        amps: (members, 2^n_q); params: (members, noisy_gate_count, 4)
+        in program gate order.
         """
         m = amps.shape[0]
+        if amps.shape != (m, 1 << self.n_q):
+            raise ValueError(f"amps has shape {amps.shape}, expected "
+                             f"(members, {1 << self.n_q})")
         expected = (m, self.program.noisy_gate_count, PARAMS_PER_GATE)
         if params.shape != expected:
             raise ValueError(f"params has shape {params.shape}, "

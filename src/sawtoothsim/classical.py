@@ -11,6 +11,10 @@ elliptic island centered on the fixed point (pi, 0).  Because the force
 is linear in theta, the tangent map is the constant matrix
 [[1, K], [1, 1 + K]] and the maximum Lyapunov exponent has a closed
 form in each regime.
+
+Every function takes the kick parameter K = k T as a plain float.
+``poincare_section`` steps all its seed points at once through the
+vectorized ``step_array``.
 """
 
 from __future__ import annotations
@@ -24,12 +28,10 @@ TWO_PI = 2.0 * math.pi
 
 __all__ = [
     "PhasePoint",
-    "ClassicalParams",
     "step_array",
     "lyapunov_exponent",
     "lyapunov_numeric",
     "poincare_section",
-    "trajectory",
 ]
 
 
@@ -55,22 +57,6 @@ class PhasePoint:
         object.__setattr__(self, "p", float(_wrap_p(self.p)))
 
 
-@dataclass(frozen=True)
-class ClassicalParams:
-    """Kick parameter K = k T of the rescaled map."""
-
-    K: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.K):
-            raise ValueError("K must be finite")
-
-    @property
-    def stable(self) -> bool:
-        """True in the quasi-integrable regime -4 <= K <= 0."""
-        return -4.0 <= self.K <= 0.0
-
-
 def step_array(theta, p, K):
     """Vectorized single map step; returns wrapped (theta', p') arrays."""
     p_new = _wrap_p(np.asarray(p) + K * (np.asarray(theta) - math.pi))
@@ -78,14 +64,13 @@ def step_array(theta, p, K):
     return theta_new, p_new
 
 
-def lyapunov_exponent(params) -> float:
+def lyapunov_exponent(K: float) -> float:
     """Maximum Lyapunov exponent, from the closed form per regime.
 
     The tangent matrix [[1, K], [1, 1+K]] has eigenvalues
     (2 + K +/- sqrt(K^2 + 4K)) / 2; the exponent is the log of the
     larger modulus, which vanishes identically for -4 <= K <= 0.
     """
-    K = params.K if isinstance(params, ClassicalParams) else float(params)
     if K > 0:
         return math.log((2.0 + K + math.sqrt(K * K + 4.0 * K)) / 2.0)
     if K < -4.0:
@@ -93,8 +78,12 @@ def lyapunov_exponent(params) -> float:
     return 0.0
 
 
-def lyapunov_numeric(params, steps: int = 2000, seed: int = 12345,
-                     separation: float = 1e-9) -> float:
+# start point seed and neighbor separation of the numeric estimate
+_NUMERIC_SEED = 12345
+_SEPARATION = 1e-9
+
+
+def lyapunov_numeric(K: float, steps: int = 2000) -> float:
     """Finite-difference Lyapunov estimate from orbit divergence.
 
     Follows a fiducial orbit and a neighbor at fixed tiny separation,
@@ -102,39 +91,36 @@ def lyapunov_numeric(params, steps: int = 2000, seed: int = 12345,
     stretching factors.  Serves as an independent check on the closed
     form; in the stable regime the estimate hovers near zero.
     """
-    K = params.K if isinstance(params, ClassicalParams) else float(params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_NUMERIC_SEED)
     theta, p = rng.uniform(0, TWO_PI), rng.uniform(-math.pi, math.pi)
-    dth, dp = separation, 0.0
+    dth, dp = _SEPARATION, 0.0
     acc = 0.0
     for _ in range(steps):
         # displacement evolves under the tangent map of the current step
         dp_new = dp + K * dth
         dth_new = dth + dp_new
         norm = math.hypot(dth_new, dp_new)
-        acc += math.log(norm / separation)
-        dth, dp = dth_new * separation / norm, dp_new * separation / norm
+        acc += math.log(norm / _SEPARATION)
+        dth, dp = dth_new * _SEPARATION / norm, dp_new * _SEPARATION / norm
         theta, p = step_array(theta, p, K)
     return acc / steps
 
 
-def trajectory(point: PhasePoint, params: ClassicalParams, steps: int) -> np.ndarray:
-    """Iterates of one seed point; returns array of shape (steps+1, 2)."""
-    out = np.empty((steps + 1, 2))
-    theta, p = point.theta, point.p
-    out[0] = theta, p
-    for t in range(1, steps + 1):
-        theta, p = step_array(theta, p, params.K)
-        out[t] = theta, p
-    return out
-
-
-def poincare_section(seeds, params: ClassicalParams, steps: int):
+def poincare_section(seeds, K: float, steps: int):
     """Iterates for each seed point; list of (steps+1, 2) arrays.
 
-    Orbits launched inside an island stay confined to it; orbits in the
-    chaotic component wander over the accessible layer.
+    All seeds are stepped together as one array, and row 0 of each
+    orbit is its seed.  Orbits launched inside an island stay confined
+    to it; orbits in the chaotic component wander over the accessible
+    layer.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    return [trajectory(s, params, steps) for s in seeds]
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    theta = np.array([s.theta for s in seeds], float)
+    p = np.array([s.p for s in seeds], float)
+    out = np.empty((len(theta), steps + 1, 2))
+    out[:, 0, 0], out[:, 0, 1] = theta, p
+    for t in range(1, steps + 1):
+        theta, p = step_array(theta, p, K)
+        out[:, t, 0], out[:, t, 1] = theta, p
+    return list(out)

@@ -27,12 +27,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import io as sio
 from .circuit import build_sawtooth_circuit, circuit_deviation
 from .classical import (
-    ClassicalParams,
     PhasePoint,
     lyapunov_exponent,
     lyapunov_numeric,
@@ -103,15 +100,6 @@ def _list_of(item):
     return parse
 
 
-def _one_of(*allowed):
-    def parse(text: str) -> str:
-        if text not in allowed:
-            raise argparse.ArgumentTypeError(
-                f"expected one of {', '.join(allowed)}, got {text!r}")
-        return text
-    return parse
-
-
 # Namespace entries that say where and how to write, not what to run:
 # every other option of a command goes into its artifact header, and a
 # config file may set exactly those.
@@ -127,13 +115,10 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
     Channel selection: a positive --deltaK selects the classical kick
     channel; otherwise the gate channel with amplitude --epsilon
-    (possibly zero).  Supplying both is ambiguous and rejected.
+    (possibly zero).  The config refuses both together.
     The ensemble count becomes initial packets when Gaussian centers
     are left unset, noise realizations otherwise.
     """
-    if args.epsilon > 0 and args.deltaK > 0:
-        raise ConfigError("give either epsilon (gate noise) or deltaK "
-                          "(kick noise), not both")
     if args.initial == "gaussian" and args.theta0 is None:
         n_states, n_noise = args.ensemble, 1
     else:
@@ -153,13 +138,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def cmd_poincare(args) -> int:
     steps = args.tmax
-    if steps < 0:
-        raise ConfigError("tmax must be >= 0")
     seeds = [PhasePoint(th, p) for th, p in DEFAULT_POINCARE_SEEDS]
-    if steps == 0:
-        trajectories = [np.array([[s.theta, s.p]]) for s in seeds]
-    else:
-        trajectories = poincare_section(seeds, ClassicalParams(K=args.K), steps)
+    trajectories = poincare_section(seeds, args.K, steps)
     sio.write_poincare(args.out, trajectories, _header(args),
                        not args.no_timestamp)
     print(f"wrote {len(seeds)} trajectories x {steps + 1} points to {args.out}")
@@ -168,7 +148,7 @@ def cmd_poincare(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     lam = lyapunov_exponent(args.K)
-    numeric = lyapunov_numeric(ClassicalParams(K=args.K))
+    numeric = lyapunov_numeric(args.K)
     print(f"K = {args.K}: lyapunov = {lam:.6f} "
           f"(numeric tangent estimate {numeric:.6f})")
     if args.out:
@@ -205,17 +185,11 @@ def cmd_fidelity(args) -> int:
 
     out, timestamp = args.out, not args.no_timestamp
     header = _header(args)
-    if args.format == "json":
-        payload = {**header, "t": curve.t, "f_mean": curve.f,
-                   "f_stderr": curve.f_err, "summary": summary}
-        sio.write_json(out, payload, timestamp)
-        print(f"wrote curve + summary to {out}")
-    else:
-        sio.write_curve(out, curve, header, timestamp)
-        stem = out[:-4] if out.endswith(".csv") else out
-        summary_path = stem + "_summary.json"
-        sio.write_json(summary_path, {**header, "summary": summary}, timestamp)
-        print(f"wrote curve to {out}, summary to {summary_path}")
+    sio.write_curve(out, curve, header, timestamp)
+    stem = out[:-4] if out.endswith(".csv") else out
+    summary_path = stem + "_summary.json"
+    sio.write_json(summary_path, {**header, "summary": summary}, timestamp)
+    print(f"wrote curve to {out}, summary to {summary_path}")
     if summary.get("model"):
         print(f"fit: {summary['model']} rate = {summary['rate']:.6g} "
               f"(r2 = {summary['r_squared']:.4f})")
@@ -334,7 +308,6 @@ _OPTIONS = {
     "seed": (int, "master seed"),
     "jobs": (int, "parallel worker count for sweeps"),
     "shots": (int, "measurement shots per setting"),
-    "format": (_one_of("csv", "json"), "csv or json"),
 }
 
 
@@ -355,7 +328,7 @@ def build_parser():
              None, dict(K=0.1)),
             ("fidelity", cmd_fidelity, "fidelity curve + decay-fit summary",
              "fidelity.csv", dict(nq=12, K=0.5, **experiment, tmax=200,
-                                  ensemble=25, seed=0, format="csv")),
+                                  ensemble=25, seed=0)),
             ("tf-scan", cmd_tf_scan, "f = 0.9 crossing times over a grid",
              "tf_scan.csv", dict(nq=[4, 5, 6, 7, 8],
                                  epsilon=[3.16e-3, 6.81e-3, 1.47e-2, 3.16e-2],

@@ -104,6 +104,10 @@ class ExperimentConfig:
 
     ``n_states`` counts initial states, ``n_noise`` noise realizations
     per initial state; the ensemble has ``n_states * n_noise`` members.
+
+    ``epsilon`` is the amplitude of the quantum channel and ``delta_K``
+    that of the classical one; the channel not selected would ignore
+    its amplitude, so a positive value there is refused.
     """
 
     lattice: LatticeParams
@@ -127,6 +131,10 @@ class ExperimentConfig:
         for name in ("epsilon", "delta_K"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
+        unused = "delta_K" if self.channel == "quantum" else "epsilon"
+        if getattr(self, unused) > 0:
+            raise ValueError(f"the {self.channel} channel ignores {unused}; "
+                             f"it must be 0")
         if self.initial not in ("gaussian", "random"):
             raise ValueError("initial must be 'gaussian' or 'random'")
         for name in ("theta0", "p0"):
@@ -154,8 +162,8 @@ class FidelityCurve:
     t: np.ndarray
     f: np.ndarray
     f_err: np.ndarray
-    member_f: np.ndarray | None = None
-    config: ExperimentConfig | None = None
+    member_f: np.ndarray
+    config: ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -176,14 +184,12 @@ class TfRecord:
     """Characteristic decay time t_f with its grid coordinates."""
 
     t_f: float
-    n_q: int | None = None
-    epsilon: float | None = None
+    n_q: int
+    epsilon: float
 
     @property
-    def collapse(self) -> float | None:
+    def collapse(self) -> float:
         """The scaling combination t_f * epsilon^2 * n_q^2."""
-        if self.n_q is None or self.epsilon is None:
-            return None
         return self.t_f * self.epsilon ** 2 * self.n_q ** 2
 
 
@@ -412,21 +418,21 @@ def fit_decay(curve_or_tf, model: str = EXPONENTIAL,
                     rate_stderr=stderr)
 
 
-def estimate_tf(curve: FidelityCurve, A: float = 0.9) -> TfRecord:
-    """First crossing f(t_f) = A, linearly interpolated between steps."""
-    if not (0.0 < A < 1.0):
-        raise ValueError("A must be in (0, 1)")
+_TF_LEVEL = 0.9
+
+
+def estimate_tf(curve: FidelityCurve) -> TfRecord:
+    """First crossing f(t_f) = 0.9, linearly interpolated between steps."""
     f = curve.f
-    below = np.nonzero(f < A)[0]
+    below = np.nonzero(f < _TF_LEVEL)[0]
     if below.size == 0:
-        raise NoCrossingError(f"curve never drops below A={A}")
+        raise NoCrossingError(f"curve never drops below A={_TF_LEVEL}")
     i = int(below[0])
     if i == 0:
         raise NoCrossingError("curve starts below A; no crossing")
-    t_f = (i - 1) + (f[i - 1] - A) / (f[i - 1] - f[i])
-    n_q = curve.config.lattice.n_q if curve.config else None
-    eps = curve.config.epsilon if curve.config else None
-    return TfRecord(t_f=float(t_f), n_q=n_q, epsilon=eps)
+    t_f = (i - 1) + (f[i - 1] - _TF_LEVEL) / (f[i - 1] - f[i])
+    return TfRecord(t_f=float(t_f), n_q=curve.config.lattice.n_q,
+                    epsilon=curve.config.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +488,11 @@ def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
 def collapse_constant(records) -> float:
     """Mean collapse combination t_f * epsilon^2 * n_q^2 over records.
 
-    Records without grid coordinates or with a NaN t_f are skipped.
+    Records with a NaN t_f are skipped.
     """
-    values = [r.collapse for r in records
-              if r.collapse is not None and not math.isnan(r.collapse)]
+    values = [r.collapse for r in records if not math.isnan(r.collapse)]
     if not values:
-        raise ValueError("no records with a finite t_f and grid coordinates")
+        raise ValueError("no records with a finite t_f")
     return float(np.mean(values))
 
 
@@ -613,7 +618,7 @@ def _regime_point(args):
         best = fit_exp
 
     stderr = best.rate_stderr
-    if bootstrap and curve.member_f is not None and curve.member_f.shape[0] > 3:
+    if bootstrap and curve.member_f.shape[0] > 3:
         stderr = _bootstrap_rate_stderr(curve, best.model, window, bootstrap)
 
     return RegimeRecord(

@@ -133,7 +133,7 @@ class BatchPropagator:
         table *= e[:, :H].T[:, :, None]
         return table
 
-    def _kick(self, work: np.ndarray, delta_k, inverse: bool) -> None:
+    def _kick(self, work: np.ndarray, delta_k) -> None:
         """Multiply angle-basis rows by their kick phases, in place."""
         m = work.shape[0]
         H, S = self._kick_shape
@@ -143,8 +143,6 @@ class BatchPropagator:
         tile = self._kick_tile
         for i in range(0, m, tile):
             table = self._kick_table(strength[i:i + tile])
-            if inverse:
-                np.conjugate(table, out=table)
             view = work[i:i + tile].reshape(-1, H, S)
             view *= table.transpose(1, 0, 2)
 
@@ -159,17 +157,14 @@ class BatchPropagator:
         if delta_k is None:
             work *= self.kick_phase
         else:
-            self._kick(work, delta_k, inverse=False)
+            self._kick(work, delta_k)
         work = np.fft.fft(work, axis=-1)
         work *= self.rot_phase
         return work
 
-    def step_inverse(self, amps: np.ndarray, delta_k=None) -> np.ndarray:
-        """Inverse of :meth:`step` with the same noise values."""
+    def step_inverse(self, amps: np.ndarray) -> np.ndarray:
+        """Inverse of the noiseless :meth:`step`."""
         work = amps * self.rot_phase.conj()
         work = np.fft.ifft(work, axis=-1)
-        if delta_k is None:
-            work *= self.kick_phase.conj()
-        else:
-            self._kick(work, delta_k, inverse=True)
+        work *= self.kick_phase.conj()
         return np.fft.fft(work, axis=-1)

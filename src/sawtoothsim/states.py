@@ -1,7 +1,8 @@
 """Finite torus Hilbert space: lattice scales, grids, initial amplitudes.
 
 States are plain complex arrays of momentum amplitudes: (N,) for one
-state, (members, N) for an ensemble.
+state, (members, N) for an ensemble.  The initial states are Gaussian
+packets of the minimum-uncertainty width and random-phase states.
 
 The N = 2^n_q dimensional space discretizes the torus with momentum
 levels n = index - N/2 (n in [-N/2, N/2)) and angle grid
@@ -68,28 +69,10 @@ class LatticeParams:
 
 @dataclass(frozen=True)
 class WavePacketSpec:
-    """Center (theta0, p0) and momentum-space width of a Gaussian packet.
-
-    ``sigma`` is the e-folding half-width of the momentum probability
-    density in integer-n units; None selects the symmetric default
-    sigma^2 = N / (2 pi) for which the packet has equal angle and
-    momentum widths sqrt(T) (minimum uncertainty on the lattice).
-    """
+    """Center (theta0, p0) of a Gaussian packet on the torus."""
 
     theta0: float
     p0: float
-    sigma: float | None = None
-
-    def resolved_sigma(self, lattice: LatticeParams) -> float:
-        sigma = self.sigma
-        if sigma is None:
-            sigma = math.sqrt(lattice.N / TWO_PI)
-        if not sigma > 0:
-            raise ValueError("sigma must be positive")
-        if sigma > lattice.N / 6:
-            raise ValueError(
-                f"sigma={sigma:.3g} wraps the torus (limit N/6={lattice.N / 6:.3g})")
-        return sigma
 
 
 def momentum_values(lattice: LatticeParams) -> np.ndarray:
@@ -107,10 +90,17 @@ def packet_amplitudes(spec: WavePacketSpec, lattice: LatticeParams) -> np.ndarra
 
     The envelope is centered on n0 = p0 / T using wrapped distance, and
     the phase exp(-i (n - n0/2) theta0) places the angle center at
-    theta0 under the transform convention above.
+    theta0 under the transform convention above.  Its width sigma, the
+    e-folding half-width of the momentum density in integer-n units, is
+    sqrt(N / (2 pi)): equal angle and momentum widths sqrt(T), the
+    minimum uncertainty on the lattice.  Raises ValueError when sigma
+    exceeds N/6, where the packet would wrap the torus (n_q <= 2).
     """
-    sigma = spec.resolved_sigma(lattice)
     N = lattice.N
+    sigma = math.sqrt(N / TWO_PI)
+    if sigma > N / 6:
+        raise ValueError(
+            f"sigma={sigma:.3g} wraps the torus (limit N/6={N / 6:.3g})")
     n = momentum_values(lattice)
     n0 = spec.p0 / lattice.T
     d = np.mod(n - n0 + N / 2, N) - N / 2

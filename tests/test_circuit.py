@@ -454,6 +454,18 @@ def test_step_rejects_misshapen_params():
     engine.step_noisy(amps.copy(), params)
 
 
+def test_step_rejects_misshapen_amps():
+    # rows that are not 2^n_q long, or a block with no member axis, are
+    # refused rather than evolved as if they were a register
+    program = build_sawtooth_circuit(LatticeParams(n_q=3, K=0.1))
+    engine = CircuitEngine(program)
+    params = np.zeros((2, program.noisy_gate_count, 4))
+    for amps in (np.ones((2, 16), complex), np.ones((2, 4), complex),
+                 np.ones(8, complex), np.ones((2, 8, 1), complex)):
+        with pytest.raises(ValueError, match="amps has shape"):
+            engine.step_noisy(amps, params)
+
+
 ROWS_AT_12 = """
 import numpy as np
 from sawtoothsim.circuit import CircuitEngine, build_sawtooth_circuit

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from sawtoothsim.classical import (
-    ClassicalParams,
     PhasePoint,
     lyapunov_exponent,
     lyapunov_numeric,
     poincare_section,
     step_array,
-    trajectory,
 )
+from sawtoothsim.cli import DEFAULT_POINCARE_SEEDS
 from sawtoothsim.experiments import ExperimentConfig, noise_blocks
 from sawtoothsim.states import LatticeParams
 
@@ -46,7 +45,7 @@ def island_rotation(K, steps=200):
     obeys x(t+1) + x(t-1) = 2 cos(omega) x(t); cos(omega) is read off
     the trajectory by least squares.
     """
-    x = trajectory(PhasePoint(PI + 0.5, 0.0), ClassicalParams(K=K), steps)[:, 0] - PI
+    x = poincare_section([PhasePoint(PI + 0.5, 0.0)], K, steps)[0][:, 0] - PI
     cos_w = np.dot(x[1:-1], x[2:] + x[:-2]) / (2.0 * np.dot(x[1:-1], x[1:-1]))
     return math.acos(cos_w)
 
@@ -112,10 +111,6 @@ def test_lyapunov_values():
         math.log((3 + math.sqrt(5)) / 2), abs=1e-12)
 
 
-def test_lyapunov_accepts_params_or_number():
-    assert lyapunov_exponent(ClassicalParams(K=0.1)) == lyapunov_exponent(0.1)
-
-
 def test_lyapunov_branch_continuity():
     assert lyapunov_exponent(1e-6) < 2e-3
     assert lyapunov_exponent(-4.0 - 1e-6) < 2e-3
@@ -124,7 +119,7 @@ def test_lyapunov_branch_continuity():
 def test_lyapunov_numeric_matches_closed_form():
     for K in (0.1, 1.0):
         lam = lyapunov_exponent(K)
-        est = lyapunov_numeric(ClassicalParams(K=K), steps=3000)
+        est = lyapunov_numeric(K, steps=3000)
         assert abs(est - lam) / lam < 0.05
 
 
@@ -133,7 +128,7 @@ def test_orbit_separation_grows_at_lyapunov_rate():
     K = 0.1
     lam = lyapunov_exponent(K)
     seed = PhasePoint(2.0, 0.5)
-    base = trajectory(seed, ClassicalParams(K=K), 400)
+    base = poincare_section([seed], K, 400)[0]
     pert = perturbed_trajectory(seed, K, 1e-6, 400)
     dist = torus_distance(base, pert)
     mask = (dist > 1e-5) & (dist < 1e-1)
@@ -145,7 +140,7 @@ def test_orbit_separation_grows_at_lyapunov_rate():
 def test_island_separation_stays_small():
     K = -0.5
     seed = PhasePoint(PI + 1.0, 0.0)
-    base = trajectory(seed, ClassicalParams(K=K), 1000)
+    base = poincare_section([seed], K, 1000)[0]
     pert = perturbed_trajectory(seed, K, 1e-6, 1000)
     dist = torus_distance(base, pert)
     assert dist.max() < 1e-2
@@ -185,33 +180,48 @@ def test_frequency_shift_values():
 # ---------------------------------------------------------------------------
 
 def test_poincare_fixed_seed_constant():
-    out = poincare_section([PhasePoint(PI, 0.0)], ClassicalParams(K=-0.5), 50)
+    out = poincare_section([PhasePoint(PI, 0.0)], -0.5, 50)
     assert len(out) == 1
     assert np.allclose(out[0][:, 0], PI, atol=1e-12)
     assert np.allclose(out[0][:, 1], 0.0, atol=1e-12)
 
 
 def test_poincare_island_vs_diffusive():
-    params = ClassicalParams(K=-0.5)
     island, diffusive = poincare_section(
-        [PhasePoint(PI + 1.0, 0.0), PhasePoint(0.05, 0.0)], params, 5000)
+        [PhasePoint(PI + 1.0, 0.0), PhasePoint(0.05, 0.0)], -0.5, 5000)
     d_island = np.abs((island[:, 0] - PI + PI) % (2 * PI) - PI)
     assert d_island.max() < 1.5
     assert np.std(diffusive[:, 1]) > 1.0
 
 
 def test_poincare_chaotic_seed_explores_torus():
-    params = ClassicalParams(K=0.5)
-    (traj,) = poincare_section([PhasePoint(1.0, 0.3)], params, 40000)
+    (traj,) = poincare_section([PhasePoint(1.0, 0.3)], 0.5, 40000)
     cells_theta = np.floor(traj[:, 0] / (2 * PI) * 12).astype(int)
     cells_p = np.floor((traj[:, 1] + PI) / (2 * PI) * 12).astype(int)
     occupied = len(set(zip(cells_theta.tolist(), cells_p.tolist())))
     assert occupied >= 0.95 * 144
 
 
-def test_poincare_rejects_zero_steps():
+def test_poincare_rejects_negative_steps():
     with pytest.raises(ValueError):
-        poincare_section([PhasePoint(1.0, 0.0)], ClassicalParams(K=0.5), 0)
+        poincare_section([PhasePoint(1.0, 0.0)], 0.5, -1)
+
+
+def test_poincare_matches_per_seed_steps():
+    # the section steps all seeds as one array; each orbit equals its
+    # seed stepped alone, bit for bit, and zero steps give the seeds
+    seeds = [PhasePoint(th, p) for th, p in DEFAULT_POINCARE_SEEDS]
+    for K in (-0.5, 0.1, 2.0, -5.0):
+        for steps in (0, 1, 1000):
+            section = poincare_section(seeds, K, steps)
+            assert len(section) == len(seeds)
+            for seed, orbit in zip(seeds, section):
+                expected = [(seed.theta, seed.p)]
+                theta, p = seed.theta, seed.p
+                for _ in range(steps):
+                    theta, p = step_array(theta, p, K)
+                    expected.append((theta, p))
+                assert np.array_equal(orbit, np.array(expected))
 
 
 def test_kick_noise_schedule():
@@ -237,11 +247,3 @@ def test_torus_distance_wraps():
     d = torus_distance(a, b)
     # both coordinates differ by ~0.2 across the seam, not ~6
     assert d[0] == pytest.approx(math.hypot(0.2, 2 * PI - 6.2), abs=1e-9)
-
-
-def test_stable_classifier():
-    assert ClassicalParams(K=-2.0).stable
-    assert ClassicalParams(K=0.0).stable
-    assert ClassicalParams(K=-4.0).stable
-    assert not ClassicalParams(K=0.1).stable
-    assert not ClassicalParams(K=-4.5).stable

@@ -102,17 +102,6 @@ class TestFidelity:
         assert body["summary"]["model"] in ("exponential", "gaussian")
         assert body["summary"]["rate"] > 0
 
-    def test_json_format_single_file(self, tmp_path):
-        out = tmp_path / "curve.json"
-        code = run("fidelity", "--nq", "4", "--epsilon", "0.05",
-                   "--tmax", "20", "--ensemble", "3",
-                   "--out", str(out), "--format", "json", "--no-timestamp")
-        assert code == 0
-        body = json.loads(out.read_text())
-        assert len(body["t"]) == 21
-        assert len(body["f_mean"]) == 21
-        assert "summary" in body
-
     def test_null_noise_reports_no_decay(self, tmp_path, capsys):
         out = tmp_path / "flat.csv"
         code = run("fidelity", "--nq", "4", "--epsilon", "0", "--tmax", "20",
@@ -356,7 +345,7 @@ class TestParser:
         ("lyapunov", "--nq", "4"),
         ("lyapunov", "--epsilon", "5"),
         ("poincare", "--seed", "1"),
-        ("circuit-check", "--format", "json")])
+        ("circuit-check", "--shots", "10")])
     def test_flag_of_another_command_rejected(self, tmp_path, argv):
         # every flag a command accepts is one it reads; the small sizes
         # keep a run short should the flag be accepted after all

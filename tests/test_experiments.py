@@ -33,9 +33,13 @@ from sawtoothsim.states import LatticeParams, WavePacketSpec, packet_amplitudes
 
 
 def synthetic_curve(t, f):
+    """One-member curve f(t), labelled as a gate-noise run at n_q = 4."""
     t = np.asarray(t, float)
     f = np.asarray(f, float)
-    return FidelityCurve(t=t, f=f, f_err=np.zeros_like(f))
+    config = ExperimentConfig(lattice=LatticeParams(n_q=4, K=0.5),
+                              epsilon=0.02, t_max=len(t) - 1)
+    return FidelityCurve(t=t, f=f, f_err=np.zeros_like(f),
+                         member_f=f[None, :], config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +113,22 @@ class TestEstimateTf:
     def test_exponential_crossing(self):
         t = np.arange(0, 2000)
         curve = synthetic_curve(t, np.exp(-0.01 * t))
-        rec = estimate_tf(curve, A=0.9)
+        rec = estimate_tf(curve)
         assert abs(rec.t_f - (-math.log(0.9) / 0.01)) < 0.01
-        assert rec.n_q is None and rec.epsilon is None
-        assert rec.collapse is None
+        assert rec.n_q == 4 and rec.epsilon == 0.02
+        assert rec.collapse == rec.t_f * 0.02 ** 2 * 4 ** 2
 
     def test_no_crossing_raises(self):
         t = np.arange(0, 50)
         curve = synthetic_curve(t, np.full(50, 0.95))
         with pytest.raises(NoCrossingError):
-            estimate_tf(curve, A=0.9)
+            estimate_tf(curve)
 
     def test_start_below_level_raises(self):
         t = np.arange(0, 50)
         curve = synthetic_curve(t, 0.5 * np.exp(-0.01 * t))
         with pytest.raises(NoCrossingError):
-            estimate_tf(curve, A=0.9)
-
-    def test_level_validation(self):
-        t = np.arange(0, 50)
-        curve = synthetic_curve(t, np.exp(-0.1 * t))
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                estimate_tf(curve, A=bad)
+            estimate_tf(curve)
 
     def test_collapse_combination(self):
         rec = TfRecord(t_f=10.0, n_q=4, epsilon=0.1)
@@ -143,7 +140,7 @@ class TestEstimateTf:
         expected = 0.5 * (10.0 * 0.01 * 16 + 40.0 * 0.0025 * 16)
         assert abs(collapse_constant(recs) - expected) < 1e-12
         with pytest.raises(ValueError):
-            collapse_constant([TfRecord(t_f=1.0)])
+            collapse_constant([])
 
     def test_collapse_constant_skips_failed_points(self):
         recs = [TfRecord(t_f=10.0, n_q=4, epsilon=0.1),
@@ -291,6 +288,20 @@ class TestFidelityCurve:
             for name in ("theta0", "p0"):
                 with pytest.raises(ValueError):
                     ExperimentConfig(lattice=lat, **{name: bad})
+
+    def test_unselected_channel_amplitude_refused(self):
+        # each channel would ignore the other's amplitude, giving the
+        # noiseless curve of that amplitude without a word
+        lat = LatticeParams(n_q=4, K=0.5)
+        with pytest.raises(ValueError, match="quantum channel ignores delta_K"):
+            ExperimentConfig(lattice=lat, channel="quantum", delta_K=0.5)
+        with pytest.raises(ValueError, match="classical channel ignores epsilon"):
+            ExperimentConfig(lattice=lat, channel="classical", epsilon=0.01,
+                             delta_K=0.5)
+        ExperimentConfig(lattice=lat, channel="quantum", epsilon=0.01,
+                         delta_K=0.0)
+        ExperimentConfig(lattice=lat, channel="classical", epsilon=0.0,
+                         delta_K=0.5)
 
     def test_p0_needs_theta0(self):
         # without theta0 every Gaussian packet gets a random center, so

@@ -12,7 +12,7 @@ from sawtoothsim.circuit import (
     HADAMARD,
     build_sawtooth_circuit,
 )
-from sawtoothsim.experiments import FidelityCurve, TfRecord
+from sawtoothsim.experiments import ExperimentConfig, FidelityCurve, TfRecord
 from sawtoothsim.io import (
     read_config,
     render_metadata,
@@ -112,8 +112,10 @@ class TestWriteCsv:
 class TestCurveAndRecordFiles:
     def test_curve_column_contract(self, tmp_path):
         t = np.arange(4)
-        curve = FidelityCurve(t=t, f=np.exp(-0.2 * t),
-                              f_err=np.full(4, 0.01))
+        f = np.exp(-0.2 * t)
+        config = ExperimentConfig(lattice=LatticeParams(n_q=4, K=0.5), t_max=3)
+        curve = FidelityCurve(t=t, f=f, f_err=np.full(4, 0.01),
+                              member_f=f[None, :], config=config)
         path = tmp_path / "curve.csv"
         write_curve(path, curve, timestamp=False)
         assert header_line(path) == "t, f_mean, f_stderr"

@@ -95,20 +95,14 @@ def test_packet_momentum_offset():
     assert mean_n * lat.T == pytest.approx(p0, abs=3 * lat.T)
 
 
-def test_narrow_packet_normalized():
-    lat = LatticeParams(n_q=8, K=0.1)
-    psi = packet_amplitudes(WavePacketSpec(theta0=1.0, p0=0.0, sigma=1.0), lat)
-    assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-12)
-    # participation is concentrated on a few momentum levels
-    weights = np.abs(psi) ** 2
-    assert np.sort(weights)[-5:].sum() > 0.95
-
-
 def test_packet_rejects_wrapping_sigma():
-    lat = LatticeParams(n_q=6, K=0.1)
-    for sigma in (20.0, -1.0, math.nan):
-        with pytest.raises(ValueError):
-            packet_amplitudes(WavePacketSpec(theta0=1.0, p0=0.0, sigma=sigma), lat)
+    # the width sqrt(N / 2pi) exceeds the wrap limit N/6 below n_q = 3
+    spec = WavePacketSpec(theta0=1.0, p0=0.0)
+    for n_q in (1, 2):
+        with pytest.raises(ValueError, match="wraps the torus"):
+            packet_amplitudes(spec, LatticeParams(n_q=n_q, K=0.1))
+    psi = packet_amplitudes(spec, LatticeParams(n_q=3, K=0.1))
+    assert np.sum(np.abs(psi) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
