@@ -23,8 +23,10 @@ forward core for the perturbed branch (:func:`perturbed_branch`).
 
 Ensembles average over initial states and/or noise realizations, with
 per-member derived RNG streams so curves are reproducible bit for bit
-from (config, master_seed) regardless of ensemble size or execution
-order.
+from (config, master_seed) regardless of ensemble size, execution
+order or the number of cores: a large block is stepped in row slices
+on a few threads (:func:`_step_in_slices`), and a member's row does not
+depend on which rows share its slice.
 
 Decay models are fitted on -log f: linear in t (exponential decay,
 rate Gamma) or linear in t^2 (Gaussian decay, rate 1/tau^2), by least
@@ -45,7 +47,7 @@ import numpy as np
 from . import streams
 from .circuit import PARAMS_PER_GATE, CircuitEngine, build_sawtooth_circuit
 from .classical import lyapunov_exponent
-from .propagator import BatchPropagator
+from .propagator import _KICK_TILE_AMPS, BatchPropagator
 from .states import (
     LatticeParams,
     WavePacketSpec,
@@ -279,6 +281,71 @@ def noise_blocks(config: ExperimentConfig, members, shape: tuple):
             yield block
 
 
+# most row slices per step: one per CPU the process may run on; sweep
+# worker processes set it to 1, since the processes already fill the cores
+try:
+    _slice_workers = len(os.sched_getaffinity(0))
+except AttributeError:  # no CPU affinity on this platform
+    _slice_workers = os.cpu_count() or 1
+_slice_pool = None  # threads for all slices but the first, made on first use
+
+
+def _drop_slice_pool() -> None:
+    """Forget the pool: a forked child inherits it without its threads."""
+    global _slice_pool
+    _slice_pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_slice_pool)
+
+
+def _serial_slices() -> None:
+    """Initializer of sweep worker processes: one slice per step."""
+    global _slice_workers
+    _slice_workers = 1
+
+
+def _step_in_slices(step, block: np.ndarray, params=None) -> np.ndarray:
+    """``step(block, params)``, run as contiguous row slices on threads.
+
+    ``step`` advances each row of the (members, N) ``block`` under the
+    same row of ``params`` and may overwrite its input.  Rows do not
+    depend on each other, and numpy's FFTs and matrix products release
+    the GIL, so slices step at the same time.  The block is cut into at
+    most ``_slice_workers`` slices of at least ``_KICK_TILE_AMPS``
+    amplitudes; the calling thread steps the first slice, a thread pool
+    the others, and each result is written back into ``block``, which is
+    returned.  A block too small for two such slices is stepped by one
+    plain call.
+    """
+    global _slice_pool
+    rows = block.shape[0]
+    n = min(_slice_workers, rows, block.size // _KICK_TILE_AMPS)
+    if n < 2:
+        return step(block, params)
+
+    def run(lo, hi):
+        view = block[lo:hi]
+        out = step(view, None if params is None else params[lo:hi])
+        if out is not view:
+            view[...] = out
+
+    from concurrent.futures import ThreadPoolExecutor, wait
+    if _slice_pool is None:
+        _slice_pool = ThreadPoolExecutor(_slice_workers - 1)
+    bounds = [rows * i // n for i in range(n + 1)]
+    futures = [_slice_pool.submit(run, bounds[i], bounds[i + 1])
+               for i in range(1, n)]
+    try:
+        run(0, bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()  # raises a slice's exception
+    return block
+
+
 def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
                      block: np.ndarray, members):
     """Yield the perturbed (members, N) block after each map step.
@@ -295,7 +362,7 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
         step = engine.step_noisy
         shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
     for params in noise_blocks(config, members, shape):
-        block = step(block, params)
+        block = _step_in_slices(step, block, params)
         yield block
 
 
@@ -303,14 +370,20 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # curves
 # ---------------------------------------------------------------------------
 
-# (members, N) blocks live at the peak of fidelity_curve.  tracemalloc
-# peaks: 3.9 for gate noise at n_q = 12 with 10 states x 5 draws, 3.3
-# for kick noise with 50 x 4, and up to 5.5 for either channel with
-# one draw per state, where the ideal branch and its step temporaries
-# are as large as the perturbed block.  The perturbed block, the spare
-# block the circuit's dense passes write into and the half-size phase
-# or kick tables make up the rest.
+# (members, N) blocks live at the peak of fidelity_curve, plus a few
+# (N,) rows however many members there are.  tracemalloc peaks in
+# blocks at n_q = 12, stepped whole and in two row slices: 4.07 and
+# 4.11 for gate noise with 10 states x 5 draws, 3.27 and 3.27 for kick
+# noise with 50 x 4, and up to 5.0 for either channel with one draw per
+# state, where the ideal branch and its step temporaries are as large
+# as the perturbed block.  The perturbed block, the spare block the
+# circuit's dense passes write into and the half-size phase or kick
+# tables make up the rest; two slices hold half-size temporaries each.
+# One member peaks at 9.2 rows (gate noise, n_q = 12) and at 7.0 from
+# n_q = 16 on, where the propagator's two phase tables are most of the
+# fixed rows.
 _CURVE_LIVE_BLOCKS = 6
+_CURVE_FIXED_ROWS = 4
 
 
 def _require_memory(lattice: LatticeParams, rows: int) -> None:
@@ -338,7 +411,8 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
     Raises ValueError up front if the amplitude blocks would not fit in
     physical memory (see :func:`_require_memory`).
     """
-    _require_memory(config.lattice, _CURVE_LIVE_BLOCKS * config.n_members)
+    _require_memory(config.lattice, _CURVE_LIVE_BLOCKS * config.n_members
+                    + _CURVE_FIXED_ROWS)
     n_members = config.n_members
     prop = BatchPropagator(config.lattice)
     ideal = _initial_block(config)
@@ -351,7 +425,7 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
     member_f = np.empty((n_members, config.t_max + 1))
     member_f[:, 0] = 1.0
     for t, pert in enumerate(islice(branch, config.t_max), 1):
-        ideal = prop.step(ideal)
+        ideal = _step_in_slices(prop.step, ideal)
         overlap = np.einsum("sn,skn->sk", ideal.conj(),
                             pert.reshape(config.n_states, config.n_noise, -1))
         member_f[:, t] = np.abs(overlap.ravel()) ** 2
@@ -681,7 +755,8 @@ def _run_points(fn, args, jobs):
     workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_serial_slices) as pool:
             return list(pool.map(fn, args))
     return [fn(a) for a in args]
 

@@ -1,6 +1,10 @@
 """Fidelity experiments: curves, decay fits, time scales, sweeps."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -28,6 +32,7 @@ from sawtoothsim.experiments import (
     sweep_rate_vs_K,
     sweep_tf,
 )
+from sawtoothsim.circuit import CircuitEngine
 from sawtoothsim.propagator import BatchPropagator
 from sawtoothsim.states import LatticeParams, WavePacketSpec, packet_amplitudes
 
@@ -564,6 +569,142 @@ class TestSweeps:
         assert abs(lo8 - 16.0 / 256.0) < 1e-15
         assert abs(hi8 - 0.08) < 1e-15
         assert lo10 < lo8
+
+
+# ---------------------------------------------------------------------------
+# row slices on threads
+# ---------------------------------------------------------------------------
+
+def _slice_workers_here(_):
+    """Sweep point reporting its process and its slice count."""
+    return os.getpid(), ex._slice_workers
+
+
+# a curve that splits leaves the slice pool alive in this process; the
+# sweep then forks its workers, and a child forked by hand splits too
+FORKED_SWEEP = """
+import os
+import sawtoothsim.experiments as ex
+from sawtoothsim.experiments import (
+    ExperimentConfig, classical_error_regimes, fidelity_curve)
+from sawtoothsim.states import LatticeParams
+
+ex._slice_workers = 2
+curve = ExperimentConfig(lattice=LatticeParams(n_q=12, K=0.1),
+                         channel="classical", delta_K=0.05, theta0=None,
+                         t_max=2, n_states=32)
+fidelity_curve(curve)
+assert ex._slice_pool is not None
+kwargs = dict(n_q=12, n_states=32, t_max=20, bootstrap=20, master_seed=4)
+serial = classical_error_regimes(0.1, [3e-2, 5e-2], jobs=1, **kwargs)
+forked = classical_error_regimes(0.1, [3e-2, 5e-2], jobs=2, **kwargs)
+assert repr(forked) == repr(serial), (serial, forked)
+if hasattr(os, "fork"):
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            fidelity_curve(curve)
+            code = 0
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
+print("done")
+"""
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize("shape, slices", [
+        ((15, 4096), [15]),         # below two slices of 2^16 amplitudes
+        ((50, 512), [50]),
+        ((40, 4096), [20, 20]),
+        ((33, 4096), [16, 17]),
+        ((200, 4096), [50, 50, 50, 50]),  # at most one slice per worker
+        ((3, 1 << 17), [1, 1, 1]),  # at most one slice per row
+    ])
+    def test_slices_follow_the_rule(self, monkeypatch, shape, slices):
+        monkeypatch.setattr(ex, "_slice_workers", 4)
+        seen = []
+
+        def step(rows, params):
+            seen.append(len(rows))
+            return rows + params[:, None]
+
+        block = np.zeros(shape)
+        params = np.arange(float(shape[0]))
+        out = ex._step_in_slices(step, block, params)
+        assert sorted(seen) == slices
+        assert np.array_equal(out, np.broadcast_to(params[:, None], shape))
+        if len(slices) > 1:
+            assert out is block  # written back in place
+
+    def test_slice_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(ex, "_slice_workers", 2)
+
+        def step(rows, params):
+            if rows[0, 0] != 0.0:
+                raise RuntimeError("second slice")
+            return rows
+
+        block = np.zeros((32, 4096))
+        block[16:] = 1.0
+        with pytest.raises(RuntimeError, match="second slice"):
+            ex._step_in_slices(step, block)
+
+    @pytest.mark.parametrize("channel, regime, n_states, n_noise", [
+        ("quantum", "memoryless", 32, 1),  # both branches split
+        ("classical", "memoryless", 32, 1),
+        ("classical", "memoryless", 33, 1),  # slices of 16 and 17 rows
+        ("quantum", "memoryless", 1, 35),
+        ("quantum", "static", 3, 11),
+        ("classical", "static", 11, 3),
+    ])
+    def test_split_curve_equals_serial(self, monkeypatch, channel, regime,
+                                       n_states, n_noise):
+        # forcing two workers runs the threaded path on one CPU too
+        config = ExperimentConfig(
+            lattice=LatticeParams(n_q=12, K=0.1), channel=channel,
+            regime=regime, epsilon=1e-2 if channel == "quantum" else 0.0,
+            delta_K=0.05 if channel == "classical" else 0.0, theta0=None,
+            t_max=3, n_states=n_states, n_noise=n_noise, master_seed=17)
+        stepped = []
+        for cls, name in ((BatchPropagator, "step"),
+                          (CircuitEngine, "step_noisy")):
+            def counted(self, amps, *args, _step=getattr(cls, name)):
+                stepped.append(len(amps))
+                return _step(self, amps, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        member_f = {}
+        for workers in (1, 2):
+            stepped.clear()
+            monkeypatch.setattr(ex, "_slice_workers", workers)
+            member_f[workers] = fidelity_curve(config).member_f
+            whole = config.n_members in stepped
+            assert whole == (workers == 1)
+        assert np.array_equal(member_f[2], member_f[1])
+
+    def test_sweep_workers_step_in_one_slice(self):
+        parent = os.getpid()
+        seen = ex._run_points(_slice_workers_here, [0, 1], 2)
+        assert all(workers == 1 for pid, workers in seen if pid != parent)
+
+    def test_forked_sweep_finishes_and_matches_serial(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ex.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        # its own session, so a hang is killed with every process it forked
+        proc = subprocess.Popen([sys.executable, "-c", FORKED_SWEEP], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the forked sweep did not finish in 120 s")
+        assert proc.returncode == 0, err
+        assert out.split() == ["done"]
 
 
 # ---------------------------------------------------------------------------
