@@ -40,7 +40,8 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
-from itertools import islice
+from functools import partial
+from itertools import islice, product
 
 import numpy as np
 
@@ -281,12 +282,17 @@ def noise_blocks(config: ExperimentConfig, members, shape: tuple):
             yield block
 
 
-# most row slices per step: one per CPU the process may run on; sweep
-# worker processes set it to 1, since the processes already fill the cores
-try:
-    _slice_workers = len(os.sched_getaffinity(0))
-except AttributeError:  # no CPU affinity on this platform
-    _slice_workers = os.cpu_count() or 1
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# most row slices per step: one per usable CPU; sweep worker processes
+# set it to 1, since the processes already fill the cores
+_slice_workers = _usable_cpus()
 _slice_pool = None  # threads for all slices but the first, made on first use
 
 
@@ -381,7 +387,9 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # tables make up the rest; two slices hold half-size temporaries each.
 # One member peaks at 9.2 rows (gate noise, n_q = 12) and at 7.0 from
 # n_q = 16 on, where the propagator's two phase tables are most of the
-# fixed rows.
+# fixed rows.  scattering_fidelity's one-member echo stays inside the
+# same bound: a first call peaks at 7.96 rows (gate) and 7.88 (kick) at
+# n_q = 16.
 _CURVE_LIVE_BLOCKS = 6
 _CURVE_FIXED_ROWS = 4
 
@@ -527,22 +535,40 @@ def _require_positive_epsilon(epsilons):
                          f"got {bad[0]!r}")
 
 
-def _tf_point(args):
-    n_q, epsilon, K, n_noise, seed = args
-    lattice = LatticeParams(n_q=n_q, K=K)
-    # the crossing sits near 0.126/(eps^2 nq^2); leave generous headroom
-    t_guess = 0.32 / (epsilon ** 2 * n_q ** 2)
-    t_max = int(min(max(12, t_guess), 20000))
-    config = ExperimentConfig(
-        lattice=lattice, channel="quantum", epsilon=epsilon,
-        initial="gaussian", theta0=1.0, p0=0.0,
-        t_max=t_max, n_states=1, n_noise=n_noise, master_seed=seed)
-    curve = fidelity_curve(config)
+def _run_point(point):
+    """Record of one sweep point ``(config, measure, failed)``.
+
+    The record is ``measure(fidelity_curve(config))``.  If the measure
+    raises FitError or NoCrossingError, the point logs one warning that
+    names ``failed`` and keeps ``failed``, its NaN record.  A point with
+    no config is ``failed`` as it stands, with no curve and no warning.
+    """
+    config, measure, failed = point
+    if config is None:
+        return failed
     try:
-        return estimate_tf(curve)
-    except NoCrossingError as exc:
-        log.warning("t_f point n_q=%d epsilon=%r: %s", n_q, epsilon, exc)
-        return TfRecord(t_f=math.nan, n_q=n_q, epsilon=epsilon)
+        return measure(fidelity_curve(config))
+    except (FitError, NoCrossingError) as exc:
+        log.warning("sweep point %r: %s", failed, exc)
+        return failed
+
+
+def _run_points(points, jobs):
+    """Records of the sweep ``points`` in order (see :func:`_run_point`).
+
+    The points run on at most min(jobs, points, usable CPUs) worker
+    processes, each stepping its blocks in one slice.  Every measure is
+    a module-level function or a ``partial`` of one, so a point pickles.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, len(points), _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_serial_slices) as pool:
+            return list(pool.map(_run_point, points))
+    return [_run_point(point) for point in points]
 
 
 def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
@@ -553,10 +579,18 @@ def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
     A point whose curve never crosses keeps its place with t_f = NaN.
     """
     _require_positive_epsilon(epsilon_list)
-    points = [(n_q, eps) for n_q in n_q_list for eps in epsilon_list]
-    args = [(n_q, eps, K, n_noise, _point_seed(master_seed, i))
-            for i, (n_q, eps) in enumerate(points)]
-    return _run_points(_tf_point, args, jobs)
+    points = []
+    for i, (n_q, epsilon) in enumerate(product(n_q_list, epsilon_list)):
+        # the crossing sits near 0.126/(eps^2 nq^2); leave generous headroom
+        t_guess = 0.32 / (epsilon ** 2 * n_q ** 2)
+        t_max = int(min(max(12, t_guess), 20000))
+        config = ExperimentConfig(
+            lattice=LatticeParams(n_q=n_q, K=K), channel="quantum",
+            epsilon=epsilon, theta0=1.0, p0=0.0, t_max=t_max,
+            n_noise=n_noise, master_seed=_point_seed(master_seed, i))
+        failed = TfRecord(t_f=math.nan, n_q=n_q, epsilon=epsilon)
+        points.append((config, estimate_tf, failed))
+    return _run_points(points, jobs)
 
 
 def collapse_constant(records) -> float:
@@ -572,30 +606,17 @@ def collapse_constant(records) -> float:
 
 RATE_KINDS = ("island", "diffusive", "random")
 
-_KIND_CENTERS = {"island": (1.0, 0.0), "diffusive": (0.0, 0.0)}
+# the initial state of each kind, as ExperimentConfig fields
+_KIND_STATES = {"island": dict(theta0=1.0, p0=0.0),
+                "diffusive": dict(theta0=0.0, p0=0.0),
+                "random": dict(initial="random")}
 
 
-def _rate_point(args):
-    K, kind, n_q, epsilon, n_noise, t_max, seed = args
-    lattice = LatticeParams(n_q=n_q, K=K)
-    if kind == "random":
-        config = ExperimentConfig(
-            lattice=lattice, channel="quantum", epsilon=epsilon,
-            initial="random", t_max=t_max, n_states=1, n_noise=n_noise,
-            master_seed=seed)
-    else:
-        theta0, p0 = _KIND_CENTERS[kind]
-        config = ExperimentConfig(
-            lattice=lattice, channel="quantum", epsilon=epsilon,
-            initial="gaussian", theta0=theta0, p0=p0, t_max=t_max,
-            n_states=1, n_noise=n_noise, master_seed=seed)
-    curve = fidelity_curve(config)
-    try:
-        fit = fit_decay(curve, EXPONENTIAL)
-    except FitError as exc:
-        log.warning("rate point K=%r kind=%s: %s", K, kind, exc)
-        return RateRecord(K=K, kind=kind, rate=math.nan, r_squared=math.nan)
-    return RateRecord(K=K, kind=kind, rate=fit.rate, r_squared=fit.r_squared)
+def _rate_record(kind: str, curve: FidelityCurve) -> RateRecord:
+    """Exponential decay rate of one rate-sweep curve."""
+    fit = fit_decay(curve, EXPONENTIAL)
+    return RateRecord(K=curve.config.lattice.K, kind=kind, rate=fit.rate,
+                      r_squared=fit.r_squared)
 
 
 def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
@@ -606,18 +627,26 @@ def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
 
     Kinds: "island" is a packet at (1, 0), inside the main island when
     -4 < K < 0; "diffusive" is a packet at (0, 0) in the chaotic
-    layer; "random" is a uniform-modulus random-phase state.  A point
+    layer; "random" is a uniform-modulus random-phase state.  Any other
+    kind is refused with ValueError before a point runs.  A point
     that cannot be fitted keeps its place with NaN rate and r^2.
     """
     _require_positive_epsilon([epsilon])
+    if not set(kinds) <= set(RATE_KINDS):
+        raise ValueError(f"kinds must be among {RATE_KINDS}, got {kinds!r}")
     if t_max is None:
         n_g = 3 * n_q ** 2 + n_q
         t_max = int(min(max(40, 3.5 / (0.25 * epsilon ** 2 * n_g)), 20000))
-    points = [(K, kind) for K in K_list for kind in kinds]
-    args = [(K, kind, n_q, epsilon, n_noise, t_max,
-             _point_seed(master_seed, 101 + i))
-            for i, (K, kind) in enumerate(points)]
-    return _run_points(_rate_point, args, jobs)
+    points = []
+    for i, (K, kind) in enumerate(product(K_list, kinds)):
+        config = ExperimentConfig(
+            lattice=LatticeParams(n_q=n_q, K=K), channel="quantum",
+            epsilon=epsilon, t_max=t_max, n_noise=n_noise,
+            master_seed=_point_seed(master_seed, 101 + i),
+            **_KIND_STATES[kind])
+        failed = RateRecord(K=K, kind=kind, rate=math.nan, r_squared=math.nan)
+        points.append((config, partial(_rate_record, kind), failed))
+    return _run_points(points, jobs)
 
 
 def saturation_window(lattice: LatticeParams) -> tuple:
@@ -633,60 +662,22 @@ def saturation_window(lattice: LatticeParams) -> tuple:
     return (16.0 / lattice.N, 0.08)
 
 
-def _regime_point(args):
-    K, delta_K, n_q, n_states, n_noise, t_max, seed, bootstrap = args
-    lattice = LatticeParams(n_q=n_q, K=K)
-    delta_k = delta_K / lattice.T
-    lam = lyapunov_exponent(K)
-    stable = -4.0 <= K <= 0.0
+def _regime_record(bootstrap: int, failed: RegimeRecord,
+                   curve: FidelityCurve) -> RegimeRecord:
+    """Decay fits of one regime-sweep curve, filled into ``failed``.
 
-    if delta_K == 0.0:
-        # nothing decays; report the trivial record with no fit
-        return RegimeRecord(
-            delta_K=0.0, delta_k=0.0, regime="none", model="none",
-            rate=0.0, rate_stderr=0.0, r_squared=math.nan,
-            r2_exponential=None, r2_gaussian=None, window=(),
-            lyapunov=lam)
-
-    if stable:
-        regime = "island"
-        theta0, p0 = 1.0, 0.0
-        window = DEFAULT_FIT_WINDOW
-    else:
-        regime = "lyapunov" if delta_k > 1.0 else "fgr"
-        theta0, p0 = None, None  # uniform centers over the chaotic torus
-        window = (saturation_window(lattice) if regime == "lyapunov"
-                  else DEFAULT_FIT_WINDOW)
-
-    if t_max is None:
-        if regime == "fgr":
-            # perturbative rate estimate Gamma ~ 0.24 delta_k^2 sets the span
-            guess = 4.0 / max(0.2 * delta_k ** 2, 1e-12)
-            t_max = int(min(max(40, guess), 30000))
-        else:
-            t_max = 60 if regime == "lyapunov" else 1500
-
-    config = ExperimentConfig(
-        lattice=lattice, channel="classical", delta_K=delta_K,
-        initial="gaussian", theta0=theta0, p0=p0, t_max=t_max,
-        n_states=n_states, n_noise=n_noise, master_seed=seed)
-    curve = fidelity_curve(config)
-
-    try:
-        fit_exp = fit_decay(curve, EXPONENTIAL, window)
-    except FitError as exc:
-        log.warning("regime point K=%r delta_K=%r: %s", K, delta_K, exc)
-        return RegimeRecord(
-            delta_K=delta_K, delta_k=delta_k, regime=regime, model="none",
-            rate=math.nan, rate_stderr=math.nan, r_squared=math.nan,
-            r2_exponential=None, r2_gaussian=None, window=tuple(window),
-            lyapunov=lam)
+    ``failed`` holds the point's amplitudes, regime, window and
+    Lyapunov exponent.  An island curve keeps whichever decay model
+    fits better; the others keep the exponential fit.
+    """
+    window = failed.window
+    fit_exp = fit_decay(curve, EXPONENTIAL, window)
     try:
         fit_gauss = fit_decay(curve, GAUSSIAN, window)
     except FitError:
         fit_gauss = None
 
-    if regime == "island" and fit_gauss is not None:
+    if failed.regime == "island" and fit_gauss is not None:
         best = fit_gauss if fit_gauss.r_squared > fit_exp.r_squared else fit_exp
     else:
         best = fit_exp
@@ -695,12 +686,10 @@ def _regime_point(args):
     if bootstrap and curve.member_f.shape[0] > 3:
         stderr = _bootstrap_rate_stderr(curve, best.model, window, bootstrap)
 
-    return RegimeRecord(
-        delta_K=delta_K, delta_k=delta_k, regime=regime, model=best.model,
-        rate=best.rate, rate_stderr=stderr, r_squared=best.r_squared,
-        r2_exponential=fit_exp.r_squared,
-        r2_gaussian=None if fit_gauss is None else fit_gauss.r_squared,
-        window=tuple(window), lyapunov=lam)
+    return replace(
+        failed, model=best.model, rate=best.rate, rate_stderr=stderr,
+        r_squared=best.r_squared, r2_exponential=fit_exp.r_squared,
+        r2_gaussian=None if fit_gauss is None else fit_gauss.r_squared)
 
 
 def _bootstrap_rate_stderr(curve: FidelityCurve, model: str, window,
@@ -737,28 +726,48 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
     initial state is the canonical island packet and both decay models
     compete on r^2.  delta_K = 0 yields a trivial record with no fit,
     and a point that cannot be fitted keeps its place with model
-    "none" and NaN rate, rate_stderr and r^2.
+    "none" and NaN rate, rate_stderr and r^2.  A negative or
+    non-finite delta_K is refused with ValueError before a point runs.
     """
-    for dK in deltaK_list:
-        if dK < 0:
-            raise ValueError("delta_K values must be >= 0")
-    args = [(K, dK, n_q, n_states, n_noise, t_max,
-             _point_seed(master_seed, 211 + i), bootstrap)
-            for i, dK in enumerate(deltaK_list)]
-    return _run_points(_regime_point, args, jobs)
+    lattice = LatticeParams(n_q=n_q, K=K)
+    island = -4.0 <= K <= 0.0
+    # the canonical island packet, or uniform centers over the chaotic torus
+    theta0, p0 = (1.0, 0.0) if island else (None, None)
+    points = []
+    for i, delta_K in enumerate(deltaK_list):
+        delta_k = delta_K / lattice.T
+        regime = ("island" if island
+                  else "lyapunov" if delta_k > 1.0 else "fgr")
+        window = (saturation_window(lattice) if regime == "lyapunov"
+                  else DEFAULT_FIT_WINDOW)
+        failed = RegimeRecord(
+            delta_K=delta_K, delta_k=delta_k, regime=regime, model="none",
+            rate=math.nan, rate_stderr=math.nan, r_squared=math.nan,
+            r2_exponential=None, r2_gaussian=None, window=window,
+            lyapunov=lyapunov_exponent(K))
+        if delta_K == 0.0:
+            # nothing decays: a trivial record, with no curve and no fit
+            points.append((None, None, replace(
+                failed, delta_K=0.0, delta_k=0.0, regime="none", rate=0.0,
+                rate_stderr=0.0, window=())))
+            continue
 
+        steps = t_max
+        if steps is None and regime == "fgr":
+            # perturbative rate estimate Gamma ~ 0.24 delta_k^2 sets the span
+            guess = 4.0 / max(0.2 * delta_k ** 2, 1e-12)
+            steps = int(min(max(40, guess), 30000))
+        elif steps is None:
+            steps = 60 if regime == "lyapunov" else 1500
 
-def _run_points(fn, args, jobs):
-    """``fn`` over ``args``, on at most min(jobs, points, cores) workers."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(args), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_serial_slices) as pool:
-            return list(pool.map(fn, args))
-    return [fn(a) for a in args]
+        # refuses a negative or non-finite delta_K
+        config = ExperimentConfig(
+            lattice=lattice, channel="classical", delta_K=delta_K,
+            theta0=theta0, p0=p0, t_max=steps, n_states=n_states,
+            n_noise=n_noise, master_seed=_point_seed(master_seed, 211 + i))
+        points.append((config, partial(_regime_record, bootstrap, failed),
+                       failed))
+    return _run_points(points, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -793,9 +802,10 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
     if not 0 <= member < config.n_members:
         raise ValueError(f"member must be in [0, {config.n_members})")
     state_index = member // config.n_noise
-    # the initial block up to this member's state, the branch, and up
-    # to three one-row temporaries (step products, ancilla amplitudes)
-    _require_memory(config.lattice, state_index + 1 + 4)
+    # a one-member curve's rows, plus the initial rows before this
+    # member's state
+    _require_memory(config.lattice, state_index + _CURVE_LIVE_BLOCKS
+                    + _CURVE_FIXED_ROWS)
     ideal = _initial_block(replace(config, n_states=state_index + 1))
     psi = ideal[state_index]
 

@@ -480,13 +480,24 @@ class TestSweeps:
         assert [(r.n_q, r.epsilon) for r in recs] == [(4, 0.05), (5, 0.05)]
         assert all(r.collapse is not None for r in recs)
 
-    def test_parallel_matches_serial(self):
-        # two points, so two workers run when two cores are available
-        serial = sweep_tf([4], [0.05, 0.06], K=5.0, n_noise=4, master_seed=9,
-                          jobs=1)
-        parallel = sweep_tf([4], [0.05, 0.06], K=5.0, n_noise=4,
-                            master_seed=9, jobs=2)
-        assert [r.t_f for r in serial] == [r.t_f for r in parallel]
+    def test_parallel_matches_serial(self, monkeypatch):
+        # two usable CPUs, so every sweep forks two workers and each of
+        # its measures, a function or a partial of one, has to pickle;
+        # the regime sweep has a delta_K = 0 point and an unfittable one
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+        sweeps = [
+            lambda jobs: sweep_tf([4], [0.05, 0.06], K=5.0, n_noise=4,
+                                  master_seed=9, jobs=jobs),
+            lambda jobs: sweep_rate_vs_K(
+                [0.5, -0.5], n_q=4, epsilon=0.1, kinds=("island", "random"),
+                n_noise=3, t_max=30, master_seed=3, jobs=jobs),
+            lambda jobs: classical_error_regimes(
+                0.1, [0.0, 5e-2, 1e-5], n_q=6, n_states=4, t_max=8,
+                bootstrap=10, jobs=jobs),
+        ]
+        for sweep in sweeps:
+            serial = sweep(1)
+            assert repr(sweep(2)) == repr(serial)
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -507,6 +518,22 @@ class TestSweeps:
                 with pytest.raises(ValueError, match="epsilon must be > 0"):
                     sweep_rate_vs_K([0.5], n_q=4, epsilon=eps, n_noise=2,
                                     t_max=t_max)
+
+    def test_bad_grid_refused_before_any_point_runs(self, monkeypatch):
+        # every config is built before the first point runs, so an
+        # unknown kind or a NaN amplitude late in the grid stops the
+        # sweep before the valid points ahead of it
+        def no_point(config):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(ex, "fidelity_curve", no_point)
+        with pytest.raises(ValueError, match="kinds must be among"):
+            sweep_rate_vs_K([0.5, 1.0], n_q=4, epsilon=0.1,
+                            kinds=("random", "chaotic"), n_noise=2)
+        for K in (0.1, -0.5):  # chaotic and island regimes
+            with pytest.raises(ValueError, match="delta_K must be finite"):
+                classical_error_regimes(K, [1e-3, math.nan], n_q=4,
+                                        n_states=2)
 
     def test_rate_sweep_records(self):
         recs = sweep_rate_vs_K(
@@ -575,9 +602,16 @@ class TestSweeps:
 # row slices on threads
 # ---------------------------------------------------------------------------
 
-def _slice_workers_here(_):
-    """Sweep point reporting its process and its slice count."""
+def _slice_workers_here(curve):
+    """Sweep measure reporting its process and its slice count."""
     return os.getpid(), ex._slice_workers
+
+
+def _pid_points(count):
+    """``count`` one-step sweep points whose measure is the above."""
+    config = ExperimentConfig(lattice=LatticeParams(n_q=3, K=0.5),
+                              epsilon=0.01, t_max=1)
+    return [(config, _slice_workers_here, None)] * count
 
 
 # a curve that splits leaves the slice pool alive in this process; the
@@ -684,10 +718,20 @@ class TestRowSlices:
             assert whole == (workers == 1)
         assert np.array_equal(member_f[2], member_f[1])
 
-    def test_sweep_workers_step_in_one_slice(self):
-        parent = os.getpid()
-        seen = ex._run_points(_slice_workers_here, [0, 1], 2)
-        assert all(workers == 1 for pid, workers in seen if pid != parent)
+    def test_sweep_workers_step_in_one_slice(self, monkeypatch):
+        # two usable CPUs, so both points run in forked workers
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+        seen = ex._run_points(_pid_points(2), 2)
+        assert all(pid != os.getpid() and workers == 1
+                   for pid, workers in seen)
+
+    def test_sweep_workers_fit_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one of two CPUs runs every point itself
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seen = ex._run_points(_pid_points(2), 2)
+        assert [pid for pid, _ in seen] == [os.getpid()] * 2
 
     def test_forked_sweep_finishes_and_matches_serial(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(ex.__file__)))
@@ -767,3 +811,26 @@ class TestScatteringFidelity:
         for member in (-1, config.n_members):
             with pytest.raises(ValueError):
                 scattering_fidelity(config, 2, member=member)
+
+    @pytest.mark.parametrize("channel", ["quantum", "classical"])
+    def test_memory_estimate_bounds_the_peak(self, monkeypatch, channel):
+        # at n_q = 16 the amplitude rows outweigh every fixed cost; the
+        # rows the guard asks for bound what an echo holds at its peak,
+        # for a member of the first state and one of a later state
+        lattice = LatticeParams(n_q=16, K=0.1)
+        amplitude = {"epsilon": 1e-3} if channel == "quantum" else {
+            "delta_K": 1e-3}
+        config = ExperimentConfig(lattice=lattice, channel=channel,
+                                  theta0=None, t_max=2, n_states=2,
+                                  n_noise=2, **amplitude)
+        estimates = []
+        monkeypatch.setattr(ex, "_require_memory",
+                            lambda lattice, rows: estimates.append(rows))
+        for member in (0, 3):
+            tracemalloc.start()
+            try:
+                scattering_fidelity(config, 2, member=member)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < estimates[-1] * lattice.N * 16
