@@ -2,11 +2,12 @@
 
 The step factors into four blocks over n_q qubits:
 
-1. a Fourier ladder (Hadamard plus controlled-phase pairs, then an
-   index bit reversal) taking the momentum register to the angle
-   register;
+1. a Fourier ladder (Hadamard plus controlled-phase pairs) taking the
+   momentum register to the angle register, with digit j of the angle
+   index on qubit n_q - 1 - j;
 2. a diagonal quadratic-phase block implementing the kick
-   exp(i k (theta_l - pi)^2 / 2) on the angle index l;
+   exp(i k (theta_l - pi)^2 / 2) on the angle index l, addressing each
+   digit on its qubit;
 3. the reversed ladder with negated angles, returning to momentum;
 4. a diagonal quadratic-phase block implementing the free rotation
    exp(-i T n^2 / 2) on n = l - N/2.
@@ -18,8 +19,9 @@ cross term split across its two ordered pairs.  Digit terms become
 single-qubit phase gates, cross terms controlled-phase gates, and the
 digit-independent remainder accumulates into one recorded scalar
 ``phase_offset`` per step (applied during execution but carried by no
-gate, so it is exempt from gate noise).  The bit reversal is pure index
-bookkeeping: no gates, no noise.
+gate, so it is exempt from gate noise).  The ladder's bit reversal is
+not a gate: the kick block reads the digits where the ladder leaves
+them, so every gate of a program draws noise.
 
 Gate budget per step: 2 n_q Hadamards and 3 n_q^2 - n_q gates of
 controlled-phase class (counting the single-qubit phases, which are
@@ -47,18 +49,16 @@ Hadamards on up to k neighbouring bits (k = 2 below n_q = 9, 3 from
 there on) fuse into one group: the diagonal gates among the group's
 bits join it, and a diagonal gate that reaches outside them commutes
 past the group's Hadamards to the run before or after it.  Each member
-then applies one dense 2^k x 2^k unitary per group.  A bit reversal
-only relabels which physical bit carries each qubit.  One sawtooth step
+then applies one dense 2^k x 2^k unitary per group.  One sawtooth step
 is then about 2 n_q / k dense passes and as many phase tables (8 and 8
-at n_q = 12), with no permutation, since the two reversals cancel.  A
-gate-by-gate executor in the tests is the reference the engine is
-checked against.
+at n_q = 12).  A gate-by-gate executor in the tests is the reference
+the engine is checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -72,7 +72,6 @@ __all__ = [
     "Gate",
     "CircuitProgram",
     "build_sawtooth_circuit",
-    "bit_reversal_permutation",
     "CircuitEngine",
     "circuit_deviation",
 ]
@@ -80,25 +79,23 @@ __all__ = [
 HADAMARD = "hadamard"
 CPHASE = "cphase"
 PHASE1 = "phase"
-BITREV = "bitrev"
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element.
+    """One noisy gate.
 
     kind "hadamard": target only.  kind "cphase": control, target and
     angle on the |11> sector.  kind "phase": target and angle on the
-    |1> sector (controlled-phase class for counting and noise).  kind
-    "bitrev": index bookkeeping, no parameters, exempt from noise.
+    |1> sector (controlled-phase class for counting and noise).
     """
 
     kind: str
-    target: int = -1
+    target: int
     control: int = -1
     angle: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (HADAMARD, CPHASE, PHASE1, BITREV):
+        if self.kind not in (HADAMARD, CPHASE, PHASE1):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == CPHASE and self.control == self.target:
             raise ValueError("cphase control and target must differ")
@@ -114,24 +111,27 @@ class CircuitProgram:
     n_q: int
     gates: tuple
     phase_offset: float
-    hadamard_count: int = field(init=False)
-    cphase_count: int = field(init=False)
 
     def __post_init__(self):
         for g in self.gates:
             qubits = (g.control, g.target) if g.kind == CPHASE else (g.target,)
-            if g.kind != BITREV and not all(0 <= q < self.n_q for q in qubits):
+            if not all(0 <= q < self.n_q for q in qubits):
                 raise IndexError(f"{g.kind} gate on qubits {qubits} "
                                  f"out of range for n_q={self.n_q}")
-        h = sum(1 for g in self.gates if g.kind == HADAMARD)
-        cp = sum(1 for g in self.gates if g.kind in (CPHASE, PHASE1))
-        object.__setattr__(self, "hadamard_count", h)
-        object.__setattr__(self, "cphase_count", cp)
+
+    @property
+    def hadamard_count(self) -> int:
+        return sum(g.kind == HADAMARD for g in self.gates)
+
+    @property
+    def cphase_count(self) -> int:
+        """Controlled-phase class: cphase and single-qubit phase gates."""
+        return len(self.gates) - self.hadamard_count
 
     @property
     def noisy_gate_count(self) -> int:
-        """Gates that draw noise; n_g = 3 n_q^2 + n_q for a sawtooth step."""
-        return self.hadamard_count + self.cphase_count
+        """Every gate draws noise; n_g = 3 n_q^2 + n_q for a sawtooth step."""
+        return len(self.gates)
 
 
 def build_sawtooth_circuit(lattice: LatticeParams) -> CircuitProgram:
@@ -142,29 +142,29 @@ def build_sawtooth_circuit(lattice: LatticeParams) -> CircuitProgram:
     T = lattice.T
     gates = []
 
-    # momentum -> angle: Hadamard/controlled-phase ladder, then index
-    # bit reversal (bookkeeping only)
+    # momentum -> angle: Hadamard/controlled-phase ladder, leaving digit
+    # j of the angle index on qubit n_q - 1 - j
     for t in reversed(range(n_q)):
         gates.append(Gate(HADAMARD, target=t))
         for c in reversed(range(t)):
             gates.append(Gate(CPHASE, control=c, target=t,
                               angle=math.pi / 2.0 ** (t - c)))
-    gates.append(Gate(BITREV))
 
     # kick phase exp(i k (2 pi l / N - pi)^2 / 2) expanded over the
-    # binary digits of the angle index l
+    # binary digits of the angle index l, each on the qubit holding it
+    top = n_q - 1
     for j in range(n_q):
         w = 2.0 ** j / N
-        gates.append(Gate(PHASE1, target=j, angle=2.0 * k * math.pi ** 2 * w * (w - 1.0)))
+        gates.append(Gate(PHASE1, target=top - j,
+                          angle=2.0 * k * math.pi ** 2 * w * (w - 1.0)))
     for j1 in range(n_q):
         for j2 in range(n_q):
             if j1 != j2:
-                gates.append(Gate(CPHASE, control=j1, target=j2,
+                gates.append(Gate(CPHASE, control=top - j1, target=top - j2,
                                   angle=2.0 * k * math.pi ** 2 * 2.0 ** (j1 + j2) / N ** 2))
 
     # angle -> momentum: exact reversal of the forward ladder with
     # negated angles
-    gates.append(Gate(BITREV))
     for t in range(n_q):
         for c in range(t):
             gates.append(Gate(CPHASE, control=c, target=t,
@@ -187,17 +187,8 @@ def build_sawtooth_circuit(lattice: LatticeParams) -> CircuitProgram:
     return CircuitProgram(n_q=n_q, gates=tuple(gates), phase_offset=offset)
 
 
-def bit_reversal_permutation(n_q: int) -> np.ndarray:
-    """Index permutation reversing the n_q-bit binary representation."""
-    idx = np.arange(1 << n_q)
-    rev = np.zeros_like(idx)
-    for j in range(n_q):
-        rev |= ((idx >> j) & 1) << (n_q - 1 - j)
-    return rev
-
-
 # ---------------------------------------------------------------------------
-# compiling: Hadamard groups and diagonal runs over physical bits
+# compiling: Hadamard groups and diagonal runs
 # ---------------------------------------------------------------------------
 
 def _block_bits(n_q):
@@ -239,7 +230,7 @@ def _split(window, width):
 
 
 def _grouped(ops, width):
-    """Split physical-bit gates into diagonal runs and Hadamard groups.
+    """Split gates into diagonal runs and Hadamard groups.
 
     Each group extends, Hadamard by Hadamard, while :func:`_split`
     still accepts it.  Returns ("d", gates) and ("g", lo, bits, gates)
@@ -452,19 +443,16 @@ class CircuitEngine:
 
     The program is compiled once into segments: Hadamard groups and
     phase tables.  A group collects consecutive Hadamards on at most k
-    contiguous physical bits (k from n_q, see :func:`_block_bits`),
-    with the diagonal gates between them.  A diagonal gate inside the
+    contiguous bits (k from n_q, see :func:`_block_bits`), with the
+    diagonal gates between them.  A diagonal gate inside the
     group's bits stays in the group; one that reaches outside commutes
     to before the group when no earlier group Hadamard touches its
     bits, else to after it when no later one does, and joins that
     phase table; where neither holds, the group ends before the next
     Hadamard, down to one Hadamard as a 2 x 2 block.  Each run of
     diagonal gates between groups is one phase table (cphase and phase
-    gates, across bit reversals too).  A bit reversal moves no data: it
-    relabels the qubits, and later gates act on the physical bit their
-    qubit sits on.  Only a program that ends with its qubits reversed
-    permutes the block, once.  The program's phase offset joins the
-    constant of the first table.
+    gates).  The program's phase offset joins the constant of the first
+    table.
 
     Parameters arrive as a (members, noisy_gate_count, 4) block per
     step.  A step first takes every gate's four sector differences
@@ -487,16 +475,8 @@ class CircuitEngine:
     def __init__(self, program: CircuitProgram):
         self.program = program
         self.n_q = n_q = program.n_q
-        ops, flipped, gi = [], False, 0
-        for g in program.gates:
-            if g.kind == BITREV:
-                flipped = not flipped
-                continue
-            c, t = (n_q - 1 - q if flipped else q for q in (g.control, g.target))
-            ops.append((g.kind, c, t, g.angle, gi))
-            gi += 1
-        self.reversed = flipped
-        self._perm = None  # built at the first step that needs it
+        ops = [(g.kind, g.control, g.target, g.angle, gi)
+               for gi, g in enumerate(program.gates)]
 
         slots = _Slots()
         hadamards = []  # gate index of every Hadamard, in order
@@ -586,10 +566,6 @@ class CircuitEngine:
             amps, spare = spare, amps
         if self._scale is not None:
             amps *= self._scale
-        if self.reversed:
-            if self._perm is None:
-                self._perm = bit_reversal_permutation(self.n_q)
-            amps = np.ascontiguousarray(amps[:, self._perm])
         return amps
 
 

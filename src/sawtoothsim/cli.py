@@ -117,12 +117,19 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     channel; otherwise the gate channel with amplitude --epsilon
     (possibly zero).  The config refuses both together.
     The ensemble count becomes initial packets when Gaussian centers
-    are left unset, noise realizations otherwise.
+    are left unset, noise realizations otherwise; a command without
+    --ensemble runs one member.  A random state has no center, so
+    --theta0 or --p0 with it is refused.
     """
+    if args.initial == "random" and (args.theta0 is not None
+                                     or args.p0 is not None):
+        raise ConfigError("a random initial state has no center: "
+                          "--theta0 and --p0 must be unset")
+    ensemble = getattr(args, "ensemble", 1)
     if args.initial == "gaussian" and args.theta0 is None:
-        n_states, n_noise = args.ensemble, 1
+        n_states, n_noise = ensemble, 1
     else:
-        n_states, n_noise = 1, args.ensemble
+        n_states, n_noise = 1, ensemble
     return ExperimentConfig(
         lattice=LatticeParams(n_q=args.nq, K=args.K),
         channel="classical" if args.deltaK > 0 else "quantum",
@@ -342,8 +349,8 @@ def build_parser():
              "gate-count and equivalence contracts", None, dict(nq=8, K=0.1)),
             ("scattering", cmd_scattering,
              "ancilla-circuit fidelity, analytic and sampled",
-             None, dict(nq=6, K=0.1, **experiment, tmax=10, ensemble=1,
-                        seed=0, shots=10 ** 4))):
+             None, dict(nq=6, K=0.1, **experiment, tmax=10, seed=0,
+                        shots=10 ** 4))):
         p = sub.add_parser(name, description=descr, help=descr)
         p.set_defaults(func=fn)
         p.add_argument("--config", help="flat key = value config file")

@@ -179,7 +179,6 @@ class DecayFit:
     r_squared: float
     n_points: int
     intercept: float
-    rate_stderr: float
 
 
 @dataclass(frozen=True)
@@ -489,15 +488,8 @@ def fit_decay(curve_or_tf, model: str = EXPONENTIAL,
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    if n > 2:
-        s2 = ss_res / (n - 2)
-        slope_var = s2 / float(np.sum((x - x.mean()) ** 2))
-        stderr = math.sqrt(slope_var)
-    else:
-        stderr = math.inf
     return DecayFit(model=model, rate=float(slope), window=tuple(window),
-                    r_squared=r2, n_points=n, intercept=float(intercept),
-                    rate_stderr=stderr)
+                    r_squared=r2, n_points=n, intercept=float(intercept))
 
 
 _TF_LEVEL = 0.9
@@ -620,25 +612,21 @@ def _rate_record(kind: str, curve: FidelityCurve) -> RateRecord:
 
 
 def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
-                    kinds=RATE_KINDS, n_noise: int = 25,
-                    t_max: int | None = None, master_seed: int = 0,
-                    jobs: int = 1):
+                    n_noise: int = 25, t_max: int | None = None,
+                    master_seed: int = 0, jobs: int = 1):
     """Fitted quantum-channel decay rate per (K, initial-state kind).
 
     Kinds: "island" is a packet at (1, 0), inside the main island when
     -4 < K < 0; "diffusive" is a packet at (0, 0) in the chaotic
-    layer; "random" is a uniform-modulus random-phase state.  Any other
-    kind is refused with ValueError before a point runs.  A point
+    layer; "random" is a uniform-modulus random-phase state.  A point
     that cannot be fitted keeps its place with NaN rate and r^2.
     """
     _require_positive_epsilon([epsilon])
-    if not set(kinds) <= set(RATE_KINDS):
-        raise ValueError(f"kinds must be among {RATE_KINDS}, got {kinds!r}")
     if t_max is None:
         n_g = 3 * n_q ** 2 + n_q
         t_max = int(min(max(40, 3.5 / (0.25 * epsilon ** 2 * n_g)), 20000))
     points = []
-    for i, (K, kind) in enumerate(product(K_list, kinds)):
+    for i, (K, kind) in enumerate(product(K_list, RATE_KINDS)):
         config = ExperimentConfig(
             lattice=LatticeParams(n_q=n_q, K=K), channel="quantum",
             epsilon=epsilon, t_max=t_max, n_noise=n_noise,
@@ -682,7 +670,7 @@ def _regime_record(bootstrap: int, failed: RegimeRecord,
     else:
         best = fit_exp
 
-    stderr = best.rate_stderr
+    stderr = math.nan
     if bootstrap and curve.member_f.shape[0] > 3:
         stderr = _bootstrap_rate_stderr(curve, best.model, window, bootstrap)
 
@@ -724,9 +712,11 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
     window for perturbative decay, the post-shoulder band of
     :func:`saturation_window` for saturated decay.  For stable K the
     initial state is the canonical island packet and both decay models
-    compete on r^2.  delta_K = 0 yields a trivial record with no fit,
-    and a point that cannot be fitted keeps its place with model
-    "none" and NaN rate, rate_stderr and r^2.  A negative or
+    compete on r^2.  ``rate_stderr`` is the rate's spread over
+    ``bootstrap`` member-resampled curves, NaN without a bootstrap or
+    with fewer than four members.  delta_K = 0 yields a trivial record
+    with no fit, and a point that cannot be fitted keeps its place with
+    model "none" and NaN rate, rate_stderr and r^2.  A negative or
     non-finite delta_K is refused with ValueError before a point runs.
     """
     lattice = LatticeParams(n_q=n_q, K=K)

@@ -142,12 +142,8 @@ def write_circuit(path, program, meta: dict | None = None,
     for pos, g in enumerate(program.gates):
         pos_col.append(pos)
         kind_col.append(g.kind)
-        if g.control >= 0:
-            qubit_col.append(f"{g.control} {g.target}")
-        elif g.target >= 0:
-            qubit_col.append(str(g.target))
-        else:
-            qubit_col.append("all")
+        qubit_col.append(f"{g.control} {g.target}" if g.control >= 0
+                         else str(g.target))
         angle_col.append(g.angle)
     write_csv(path, {"position": pos_col, "kind": kind_col,
                      "qubits": qubit_col, "angle": angle_col}, meta, timestamp)

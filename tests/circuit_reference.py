@@ -1,21 +1,16 @@
 """Per-gate reference executor for circuit programs (test oracle).
 
-Walks the gate list one kernel per gate, with a full permutation at
-every bit reversal and the phase offset applied as a last pass.  The
-compiled :class:`sawtoothsim.circuit.CircuitEngine` must agree with it
-to rounding level.  It shares no kernel with the package.
+Walks the gate list one kernel per gate, with the phase offset applied
+as a last pass.  The compiled :class:`sawtoothsim.circuit.CircuitEngine`
+must agree with it to rounding level.  It shares no kernel with the
+package.
 """
 
 import math
 
 import numpy as np
 
-from sawtoothsim.circuit import (
-    CPHASE,
-    HADAMARD,
-    PHASE1,
-    bit_reversal_permutation,
-)
+from sawtoothsim.circuit import CPHASE, HADAMARD, PHASE1
 
 
 def _qubit_views(amps, n_q, t):
@@ -81,21 +76,14 @@ def reference_step(program, amps, params):
     params: (members, noisy_gate_count, 4) in program gate order.
     """
     n_q = program.n_q
-    perm = bit_reversal_permutation(n_q)
-    gi = 0
-    for g in program.gates:
+    for gi, g in enumerate(program.gates):
         if g.kind == HADAMARD:
             _apply_h_tilted(amps, n_q, g.target,
                             params[:, gi, 0], params[:, gi, 1])
-            gi += 1
         elif g.kind == CPHASE:
             _apply_cp_noisy(amps, n_q, g.control, g.target, g.angle,
                             params[:, gi, :])
-            gi += 1
         elif g.kind == PHASE1:
             _apply_p1_noisy(amps, n_q, g.target, g.angle, params[:, gi, :])
-            gi += 1
-        else:
-            amps = np.ascontiguousarray(amps[:, perm])
     amps *= np.exp(1j * program.phase_offset)
     return amps

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from sawtoothsim import streams
 from sawtoothsim.circuit import (
-    BITREV,
     CPHASE,
     HADAMARD,
     PARAMS_PER_GATE,
@@ -20,7 +19,6 @@ from sawtoothsim.circuit import (
     CircuitEngine,
     CircuitProgram,
     Gate,
-    bit_reversal_permutation,
     build_sawtooth_circuit,
     circuit_deviation,
 )
@@ -40,6 +38,8 @@ def test_gate_count_contract():
         assert prog.hadamard_count == 2 * n_q
         assert prog.cphase_count == 3 * n_q * n_q - n_q
         assert prog.noisy_gate_count == 3 * n_q * n_q + n_q
+        # every gate of the program is one that draws noise
+        assert len(prog.gates) == prog.noisy_gate_count
 
 
 def test_counts_examples():
@@ -64,7 +64,7 @@ def test_gate_validation():
 # ---------------------------------------------------------------------------
 
 def test_noiseless_circuit_matches_split_operator():
-    for n_q in range(1, 9):
+    for n_q in range(1, 13):
         dev = circuit_deviation(LatticeParams(n_q=n_q, K=0.7), n_states=5,
                                 seed=n_q)
         assert dev < 1e-10
@@ -170,17 +170,14 @@ def _ideal_matrix(gate, n_q):
         return np.kron(np.kron(np.eye(n >> (t + 1)), h), np.eye(1 << t))
     if gate.kind == CPHASE:
         return np.diag(np.exp(1j * gate.angle * bit(gate.control) * bit(gate.target)))
-    if gate.kind == PHASE1:
-        return np.diag(np.exp(1j * gate.angle * bit(gate.target)))
-    return np.eye(n)[bit_reversal_permutation(n_q)]
+    return np.diag(np.exp(1j * gate.angle * bit(gate.target)))
 
 
 def test_zero_noise_matches_ideal():
     amps = random_block(3, seed=3)
     for gate in (Gate(kind=HADAMARD, target=2),
                  Gate(kind=CPHASE, control=1, target=0, angle=0.6),
-                 Gate(kind=PHASE1, target=1, angle=0.3),
-                 Gate(kind=BITREV)):
+                 Gate(kind=PHASE1, target=1, angle=0.3)):
         out = one_gate_step(gate, 3, amps)
         ref = amps @ _ideal_matrix(gate, 3).T
         assert np.max(np.abs(out - ref)) < 1e-14
@@ -298,7 +295,7 @@ def test_memoryless_serial_correlation():
 def test_batch_engine_matches_single_gate_path():
     # the whole program against its gates run one at a time, each fed
     # the next parameter slice: the engine consumes the block row-major
-    # in gate order, skipping the bit reversals
+    # in gate order
     lat = LatticeParams(n_q=4, K=0.4)
     prog = build_sawtooth_circuit(lat)
     amps = random_block(4, seed=10, members=2)
@@ -307,14 +304,10 @@ def test_batch_engine_matches_single_gate_path():
     batch_out = CircuitEngine(prog).step_noisy(amps.copy(), params)
 
     single = amps
-    gi = 0
-    for gate in prog.gates:
-        noisy = int(gate.kind != BITREV)
-        single = one_gate_step(gate, 4, single, params[:, gi:gi + noisy])
-        gi += noisy
+    for gi, gate in enumerate(prog.gates):
+        single = one_gate_step(gate, 4, single, params[:, gi:gi + 1])
     single = single * np.exp(1j * prog.phase_offset)
 
-    assert gi == prog.noisy_gate_count
     assert np.max(np.abs(batch_out - single)) < 1e-13
 
 
@@ -336,12 +329,11 @@ def test_fidelity_ignores_global_phase_choice():
 # ---------------------------------------------------------------------------
 
 def gate_lists(n_q, max_size=40):
-    """Random gate lists on n_q qubits: every kind, any number of reversals."""
+    """Random gate lists on n_q qubits, of every kind."""
     qubit = st.integers(0, n_q - 1)
     angle = st.floats(-50.0, 50.0)
     kinds = [st.builds(lambda t: Gate(HADAMARD, target=t), qubit),
-             st.builds(lambda t, a: Gate(PHASE1, target=t, angle=a), qubit, angle),
-             st.just(Gate(BITREV))]
+             st.builds(lambda t, a: Gate(PHASE1, target=t, angle=a), qubit, angle)]
     if n_q > 1:
         kinds.append(st.tuples(qubit, qubit, angle)
                      .filter(lambda cta: cta[0] != cta[1])
@@ -383,23 +375,21 @@ def test_compiled_engine_matches_per_gate_reference(program, members, eps, seed)
 
 
 @pytest.mark.parametrize("n_q", [3, 6])
-@pytest.mark.parametrize("kind", [HADAMARD, CPHASE, PHASE1, BITREV])
+@pytest.mark.parametrize("kind", [HADAMARD, CPHASE, PHASE1])
 def test_one_kind_programs_match_reference(kind, n_q):
-    # the sawtooth gates of one kind, as the micro benchmark runs them,
-    # plus one more bit reversal so the reversals do not cancel
+    # the sawtooth gates of one kind, as the micro benchmark runs them
     full = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=0.1))
-    for extra in ((), (Gate(BITREV),)):
-        program = CircuitProgram(
-            n_q=n_q, phase_offset=0.0,
-            gates=tuple(g for g in full.gates if g.kind == kind) + extra)
-        amps, params = noisy_inputs(program, 3, 1e-2, seed=n_q)
-        out = CircuitEngine(program).step_noisy(amps.copy(), params)
-        ref = reference_step(program, amps.copy(), params)
-        assert np.max(np.abs(out - ref)) <= 1e-12
+    program = CircuitProgram(
+        n_q=n_q, phase_offset=0.0,
+        gates=tuple(g for g in full.gates if g.kind == kind))
+    amps, params = noisy_inputs(program, 3, 1e-2, seed=n_q)
+    out = CircuitEngine(program).step_noisy(amps.copy(), params)
+    ref = reference_step(program, amps.copy(), params)
+    assert np.max(np.abs(out - ref)) <= 1e-12
 
 
 def test_sawtooth_step_moves_no_data():
-    # the two reversals cancel: no permutation.  Each ladder's
+    # a step is Hadamard groups and phase tables only.  Each ladder's
     # Hadamards fuse into groups of up to two bits below n_q = 9 and
     # three from there on, and one phase table runs after each group.
     # The full-width groups of each ladder build their unitaries in one
@@ -408,7 +398,6 @@ def test_sawtooth_step_moves_no_data():
         prog = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=0.1))
         engine = CircuitEngine(prog)
         kinds = [seg[0] for seg in engine.segments]
-        assert not engine.reversed
         assert kinds == ["g", "d"] * groups
         assert len(engine._batches) == batches
 

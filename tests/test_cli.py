@@ -145,9 +145,15 @@ class TestFidelity:
 
     def test_p0_without_theta0_rejected(self, tmp_path):
         # without theta0 every packet gets a random center, so a p0
-        # would be recorded in the header but never used
+        # would be recorded in the header but never used; a random
+        # state has no center, so it would use neither
         out = str(tmp_path / "x.csv")
         assert run("fidelity", "--nq", "4", "--p0", "0.3", "--out", out) == 1
+        for command in ("fidelity", "scattering"):
+            for center in (("--theta0", "1.0"), ("--p0", "0.3")):
+                assert run(command, "--nq", "4", "--initial", "random",
+                           *center, "--tmax", "5", "--out", out) == 1
+        assert not (tmp_path / "x.csv").exists()
         assert run("fidelity", "--nq", "4", "--p0", "0.3", "--theta0", "1.0",
                    "--tmax", "5", "--out", out) == 0
 
@@ -170,7 +176,7 @@ class TestFidelity:
 
     @pytest.mark.parametrize("flags", [
         ("--epsilon", "0.05", "--regime", "static"),
-        ("--deltaK", "0.05", "--theta0", "1.0", "--initial", "random")])
+        ("--deltaK", "0.05", "--initial", "random")])
     def test_header_reruns_as_config(self, tmp_path, flags):
         # a result header with its comment markers stripped is a config
         # file that reproduces the result byte for byte
@@ -274,8 +280,8 @@ class TestCircuitCheck:
         assert "PASS" in printed
         assert "12 Hadamards" in printed
         rows = data_rows(out)
-        # forward ladder + kick + reverse ladder + rotation + markers
-        assert len(rows) > 2 * 36 + 6
+        # one row per noisy gate: n_g = 3 n_q^2 + n_q
+        assert len(rows) == 3 * 36 + 6
 
     def test_bad_nq_rejected(self):
         assert run("circuit-check", "--nq", "0") == 1
@@ -345,7 +351,8 @@ class TestParser:
         ("lyapunov", "--nq", "4"),
         ("lyapunov", "--epsilon", "5"),
         ("poincare", "--seed", "1"),
-        ("circuit-check", "--shots", "10")])
+        ("circuit-check", "--shots", "10"),
+        ("scattering", "--ensemble", "5")])
     def test_flag_of_another_command_rejected(self, tmp_path, argv):
         # every flag a command accepts is one it reads; the small sizes
         # keep a run short should the flag be accepted after all

@@ -58,7 +58,6 @@ class TestFitDecay:
         assert fit.model == "exponential"
         assert abs(fit.rate - 0.05) < 1e-9
         assert fit.r_squared > 0.9999
-        assert fit.rate_stderr < 1e-9
 
     def test_recovers_gaussian_rate(self):
         t = np.arange(0, 200)
@@ -198,6 +197,43 @@ class TestFidelityCurve:
                 lattice=LatticeParams(n_q=4, K=0.5), channel="quantum",
                 epsilon=0.03, t_max=15, n_noise=3, master_seed=12))
         assert not np.array_equal(a.member_f, c.member_f)
+
+    # member_f[:, 1:] of two members over six steps at n_q = 5, K = 0.7,
+    # master seed 3, frozen when the gate program still held two
+    # bit-reversal markers: they pin which draw lands on which gate,
+    # which neither the noiseless check nor the per-gate reference sees
+    FROZEN_MEMBERS = {
+        ("quantum", "memoryless"): (
+            (0.954493318805277, 0.9049820435285431, 0.8827815474159751,
+             0.8691997994645241, 0.8011766444141781, 0.7341247754255447),
+            (0.9785147620619197, 0.9422369831081786, 0.8942824952999983,
+             0.8750710056880584, 0.8452857347715459, 0.7887839555673329)),
+        ("quantum", "static"): (
+            (0.954493318805277, 0.9147279214482654, 0.8746917050502464,
+             0.8453212557930595, 0.7969058021492912, 0.7262063554718524),
+            (0.9785147620619197, 0.9374157248795533, 0.9086898014933305,
+             0.8460771319349435, 0.7939212132326585, 0.7684203584620082)),
+        ("classical", "memoryless"): (
+            (0.9993922707647055, 0.9996587292832926, 0.9890411030526779,
+             0.9854471811480657, 0.9699592835549142, 0.963472988060936),
+            (0.99985357720145, 0.9986740643996558, 0.9986687202421556,
+             0.996655459199667, 0.9937835926754391, 0.9887887284050151)),
+        ("classical", "static"): (
+            (0.9993922707647055, 0.9991228169836084, 0.9945255515057884,
+             0.9917245888893891, 0.9885682411635242, 0.9830855270987877),
+            (0.99985357720145, 0.9997883245102804, 0.9986800204926642,
+             0.9979965434684752, 0.9972250968207751, 0.9958832821140136)),
+    }
+
+    @pytest.mark.parametrize("channel, regime", list(FROZEN_MEMBERS))
+    def test_member_curves_frozen(self, channel, regime):
+        amplitude = (dict(epsilon=0.05) if channel == "quantum"
+                     else dict(delta_K=0.02))
+        curve = fidelity_curve(ExperimentConfig(
+            lattice=LatticeParams(n_q=5, K=0.7), channel=channel,
+            regime=regime, t_max=6, n_noise=2, master_seed=3, **amplitude))
+        frozen = np.array(self.FROZEN_MEMBERS[channel, regime])
+        assert np.max(np.abs(curve.member_f[:, 1:] - frozen)) <= 1e-12
 
     @settings(max_examples=12, deadline=None)
     @given(channel=st.sampled_from(["quantum", "classical"]),
@@ -348,6 +384,7 @@ class TestClassicalErrorRegimes:
         assert fgr.delta_k < 1.0
         assert fgr.window == DEFAULT_FIT_WINDOW
         assert fgr.rate > 0
+        assert math.isnan(fgr.rate_stderr)  # no bootstrap, no spread
 
         (isl,) = classical_error_regimes(
             -0.5, [0.03], n_q=6, n_states=1, n_noise=32, bootstrap=0,
@@ -489,8 +526,8 @@ class TestSweeps:
             lambda jobs: sweep_tf([4], [0.05, 0.06], K=5.0, n_noise=4,
                                   master_seed=9, jobs=jobs),
             lambda jobs: sweep_rate_vs_K(
-                [0.5, -0.5], n_q=4, epsilon=0.1, kinds=("island", "random"),
-                n_noise=3, t_max=30, master_seed=3, jobs=jobs),
+                [0.5, -0.5], n_q=4, epsilon=0.1, n_noise=3, t_max=30,
+                master_seed=3, jobs=jobs),
             lambda jobs: classical_error_regimes(
                 0.1, [0.0, 5e-2, 1e-5], n_q=6, n_states=4, t_max=8,
                 bootstrap=10, jobs=jobs),
@@ -520,37 +557,35 @@ class TestSweeps:
                                     t_max=t_max)
 
     def test_bad_grid_refused_before_any_point_runs(self, monkeypatch):
-        # every config is built before the first point runs, so an
-        # unknown kind or a NaN amplitude late in the grid stops the
-        # sweep before the valid points ahead of it
+        # every config is built before the first point runs, so a NaN
+        # K or amplitude late in the grid stops the sweep before the
+        # valid points ahead of it
         def no_point(config):
             raise AssertionError("a sweep point ran")
 
         monkeypatch.setattr(ex, "fidelity_curve", no_point)
-        with pytest.raises(ValueError, match="kinds must be among"):
-            sweep_rate_vs_K([0.5, 1.0], n_q=4, epsilon=0.1,
-                            kinds=("random", "chaotic"), n_noise=2)
+        with pytest.raises(ValueError, match="K must be finite"):
+            sweep_rate_vs_K([0.5, math.nan], n_q=4, epsilon=0.1, n_noise=2)
         for K in (0.1, -0.5):  # chaotic and island regimes
             with pytest.raises(ValueError, match="delta_K must be finite"):
                 classical_error_regimes(K, [1e-3, math.nan], n_q=4,
                                         n_states=2)
 
     def test_rate_sweep_records(self):
-        recs = sweep_rate_vs_K(
-            [0.5], n_q=5, epsilon=0.1, kinds=("diffusive", "random"),
-            n_noise=4, t_max=40, master_seed=3)
-        assert [(r.K, r.kind) for r in recs] == [(0.5, "diffusive"),
+        recs = sweep_rate_vs_K([0.5], n_q=5, epsilon=0.1, n_noise=4,
+                               t_max=40, master_seed=3)
+        assert [(r.K, r.kind) for r in recs] == [(0.5, "island"),
+                                                (0.5, "diffusive"),
                                                 (0.5, "random")]
         for r in recs:
             assert r.rate > 0
             assert 0.0 < r.r_squared <= 1.0
 
     def test_unfittable_rate_point_keeps_the_others(self, monkeypatch, caplog):
-        # the K = 1.0 point cannot be fitted: the sweep still returns all
-        # three points, that one with NaN rate and r^2, the others as
-        # they come out of a sweep where every point fits
-        args = dict(n_q=5, epsilon=0.1, kinds=("random",), n_noise=4,
-                    t_max=40, master_seed=3)
+        # the K = 1.0 points cannot be fitted: the sweep still returns
+        # all nine points, those three with NaN rate and r^2, the others
+        # as they come out of a sweep where every point fits
+        args = dict(n_q=5, epsilon=0.1, n_noise=4, t_max=40, master_seed=3)
         clean = sweep_rate_vs_K([0.5, 1.0, 2.0], **args)
         real_fit = ex.fit_decay
 
@@ -561,16 +596,17 @@ class TestSweeps:
 
         monkeypatch.setattr(ex, "fit_decay", fit)
         recs = sweep_rate_vs_K([0.5, 1.0, 2.0], **args)
-        assert [r.K for r in recs] == [0.5, 1.0, 2.0]
-        assert math.isnan(recs[1].rate) and math.isnan(recs[1].r_squared)
-        assert [recs[0], recs[2]] == [clean[0], clean[2]]
+        assert [r.K for r in recs] == [0.5] * 3 + [1.0] * 3 + [2.0] * 3
+        assert all(math.isnan(r.rate) and math.isnan(r.r_squared)
+                   for r in recs[3:6])
+        assert recs[:3] + recs[6:] == clean[:3] + clean[6:]
         assert "K=1.0" in caplog.text
 
     def test_short_rate_sweep_returns_failure_records(self):
         # three steps never reach five points inside the fit window
-        recs = sweep_rate_vs_K([0.5], n_q=4, epsilon=0.01, kinds=("random",),
-                               n_noise=2, t_max=3)
-        assert len(recs) == 1 and math.isnan(recs[0].rate)
+        recs = sweep_rate_vs_K([0.5], n_q=4, epsilon=0.01, n_noise=2,
+                               t_max=3)
+        assert len(recs) == 3 and all(math.isnan(r.rate) for r in recs)
 
     def test_uncrossed_tf_point_keeps_the_others(self, monkeypatch, caplog):
         real_tf = ex.estimate_tf

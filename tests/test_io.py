@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from sawtoothsim.circuit import (
-    BITREV,
     CPHASE,
     HADAMARD,
+    PHASE1,
     build_sawtooth_circuit,
 )
 from sawtoothsim.experiments import ExperimentConfig, FidelityCurve, TfRecord
@@ -145,10 +145,10 @@ class TestCircuitFiles:
         assert header_line(path) == "position, kind, qubits, angle"
         rows = [line.split(", ") for line in read_lines(path)[1:]]
         assert len(rows) == len(program.gates)
-        kinds = {r[1] for r in rows}
-        assert HADAMARD in kinds and CPHASE in kinds and BITREV in kinds
-        two_qubit = [r for r in rows if r[1] == CPHASE]
-        assert all(len(r[2].split(" ")) == 2 for r in two_qubit)
+        assert {r[1] for r in rows} == {HADAMARD, CPHASE, PHASE1}
+        # a cphase lists control and target, every other gate its target
+        assert all(len(r[2].split(" ")) == (2 if r[1] == CPHASE else 1)
+                   for r in rows)
 
 
 class TestJson:
