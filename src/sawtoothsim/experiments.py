@@ -234,14 +234,18 @@ class RegimeRecord:
 # initial ensembles
 # ---------------------------------------------------------------------------
 
-def _initial_block(config: ExperimentConfig) -> np.ndarray:
-    """(n_states, N) initial amplitudes from per-state derived streams."""
+def _initial_block(config: ExperimentConfig, states) -> np.ndarray:
+    """(len(states), N) initial amplitudes of the listed initial states.
+
+    State s draws from its own derived stream, so its row does not
+    depend on which other states are built alongside it.
+    """
     lattice = config.lattice
-    block = np.empty((config.n_states, lattice.N), dtype=complex)
-    for s in range(config.n_states):
+    block = np.empty((len(states), lattice.N), dtype=complex)
+    for i, s in enumerate(states):
         rng = streams.stream(config.master_seed, streams.DOMAIN_INITIAL, s)
         if config.initial == "random":
-            block[s] = random_amplitudes(lattice.N, rng)
+            block[i] = random_amplitudes(lattice.N, rng)
         else:
             theta0, p0 = config.theta0, config.p0
             if theta0 is None:
@@ -250,7 +254,7 @@ def _initial_block(config: ExperimentConfig) -> np.ndarray:
             elif p0 is None:
                 p0 = 0.0
             spec = WavePacketSpec(theta0=theta0, p0=p0)
-            block[s] = packet_amplitudes(spec, lattice)
+            block[i] = packet_amplitudes(spec, lattice)
     return block
 
 
@@ -386,9 +390,10 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # tables make up the rest; two slices hold half-size temporaries each.
 # One member peaks at 9.2 rows (gate noise, n_q = 12) and at 7.0 from
 # n_q = 16 on, where the propagator's two phase tables are most of the
-# fixed rows.  scattering_fidelity's one-member echo stays inside the
-# same bound: a first call peaks at 7.96 rows (gate) and 7.88 (kick) at
-# n_q = 16.
+# fixed rows.  scattering_fidelity builds one state and echoes one
+# member, so it holds a one-member curve's rows whichever member it
+# echoes: at n_q = 16 a first call peaks at 7.96 rows (gate) and 7.88
+# (kick), later calls at 7.05 for the first or a later state.
 _CURVE_LIVE_BLOCKS = 6
 _CURVE_FIXED_ROWS = 4
 
@@ -422,7 +427,7 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
                     + _CURVE_FIXED_ROWS)
     n_members = config.n_members
     prop = BatchPropagator(config.lattice)
-    ideal = _initial_block(config)
+    ideal = _initial_block(config, range(config.n_states))
     branch = perturbed_branch(config, prop,
                               np.repeat(ideal, config.n_noise, axis=0),
                               range(n_members))
@@ -439,7 +444,6 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
 
     np.clip(member_f, 0.0, 1.0, out=member_f)
     f = member_f.mean(axis=0)
-    f[0] = 1.0
     if n_members > 1:
         f_err = member_f.std(axis=0, ddof=1) / math.sqrt(n_members)
     else:
@@ -519,25 +523,25 @@ def _point_seed(master_seed: int, index: int) -> int:
                .integers(2 ** 63))
 
 
-def _require_positive_epsilon(epsilons):
-    """Refuse a noiseless gate sweep: its step count scales as 1/eps^2."""
-    bad = [eps for eps in epsilons if not eps > 0]
+def _require_positive(name: str, amplitudes):
+    """Refuse a noiseless sweep: its step count scales as 1/amplitude^2.
+
+    A NaN or infinite amplitude passes here; ExperimentConfig refuses it.
+    """
+    bad = [a for a in amplitudes if a <= 0]
     if bad:
-        raise ValueError(f"epsilon must be > 0 for a gate sweep, "
-                         f"got {bad[0]!r}")
+        raise ValueError(f"{name} must be > 0 for a sweep, got {bad[0]!r}")
 
 
 def _run_point(point):
     """Record of one sweep point ``(config, measure, failed)``.
 
-    The record is ``measure(fidelity_curve(config))``.  If the measure
-    raises FitError or NoCrossingError, the point logs one warning that
-    names ``failed`` and keeps ``failed``, its NaN record.  A point with
-    no config is ``failed`` as it stands, with no curve and no warning.
+    Every point runs its curve: the record is
+    ``measure(fidelity_curve(config))``.  If the measure raises
+    FitError or NoCrossingError, the point logs one warning that names
+    ``failed`` and keeps ``failed``, its NaN record.
     """
     config, measure, failed = point
-    if config is None:
-        return failed
     try:
         return measure(fidelity_curve(config))
     except (FitError, NoCrossingError) as exc:
@@ -570,7 +574,7 @@ def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
     Every point starts from the packet at (1, 0).
     A point whose curve never crosses keeps its place with t_f = NaN.
     """
-    _require_positive_epsilon(epsilon_list)
+    _require_positive("epsilon", epsilon_list)
     points = []
     for i, (n_q, epsilon) in enumerate(product(n_q_list, epsilon_list)):
         # the crossing sits near 0.126/(eps^2 nq^2); leave generous headroom
@@ -621,7 +625,7 @@ def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
     layer; "random" is a uniform-modulus random-phase state.  A point
     that cannot be fitted keeps its place with NaN rate and r^2.
     """
-    _require_positive_epsilon([epsilon])
+    _require_positive("epsilon", [epsilon])
     if t_max is None:
         n_g = 3 * n_q ** 2 + n_q
         t_max = int(min(max(40, 3.5 / (0.25 * epsilon ** 2 * n_g)), 20000))
@@ -714,11 +718,14 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
     initial state is the canonical island packet and both decay models
     compete on r^2.  ``rate_stderr`` is the rate's spread over
     ``bootstrap`` member-resampled curves, NaN without a bootstrap or
-    with fewer than four members.  delta_K = 0 yields a trivial record
-    with no fit, and a point that cannot be fitted keeps its place with
-    model "none" and NaN rate, rate_stderr and r^2.  A negative or
-    non-finite delta_K is refused with ValueError before a point runs.
+    with fewer than four members.  A point that cannot be fitted keeps
+    its place with model "none" and NaN rate, rate_stderr and r^2.
+    Every amplitude runs a curve; the perturbative step count scales as
+    1/delta_k^2, so, as the gate sweeps refuse epsilon <= 0, a delta_K
+    that is zero or negative, or not finite, is refused with ValueError
+    before any point runs.
     """
+    _require_positive("delta_K", deltaK_list)
     lattice = LatticeParams(n_q=n_q, K=K)
     island = -4.0 <= K <= 0.0
     # the canonical island packet, or uniform centers over the chaotic torus
@@ -735,13 +742,6 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
             rate=math.nan, rate_stderr=math.nan, r_squared=math.nan,
             r2_exponential=None, r2_gaussian=None, window=window,
             lyapunov=lyapunov_exponent(K))
-        if delta_K == 0.0:
-            # nothing decays: a trivial record, with no curve and no fit
-            points.append((None, None, replace(
-                failed, delta_K=0.0, delta_k=0.0, regime="none", rate=0.0,
-                rate_stderr=0.0, window=())))
-            continue
-
         steps = t_max
         if steps is None and regime == "fgr":
             # perturbative rate estimate Gamma ~ 0.24 delta_k^2 sets the span
@@ -750,7 +750,7 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
         elif steps is None:
             steps = 60 if regime == "lyapunov" else 1500
 
-        # refuses a negative or non-finite delta_K
+        # refuses a non-finite delta_K
         config = ExperimentConfig(
             lattice=lattice, channel="classical", delta_K=delta_K,
             theta0=theta0, p0=p0, t_max=steps, n_states=n_states,
@@ -777,9 +777,11 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
 
         <sigma_z> = Re w,    <sigma_y> = -Im w,
 
-    and the fidelity is <sigma_z>^2 + <sigma_y>^2 = |w|^2.  The noise
-    stream matches :func:`fidelity_curve` member ``member``, so the
-    analytic mode equals the direct overlap at identical draws.
+    and the fidelity is <sigma_z>^2 + <sigma_y>^2 = |w|^2.  Only the
+    initial state of member ``member`` is built, and its noise stream
+    matches :func:`fidelity_curve` member ``member``, so the analytic
+    mode equals the direct overlap at identical draws.  The memory
+    guard asks for a one-member curve's rows, whatever the member.
 
     mode "analytic" evaluates the polarizations from the joint state;
     mode "sampled" estimates each from ``shots`` simulated projective
@@ -791,13 +793,8 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
         raise ValueError("mode must be 'analytic' or 'sampled'")
     if not 0 <= member < config.n_members:
         raise ValueError(f"member must be in [0, {config.n_members})")
-    state_index = member // config.n_noise
-    # a one-member curve's rows, plus the initial rows before this
-    # member's state
-    _require_memory(config.lattice, state_index + _CURVE_LIVE_BLOCKS
-                    + _CURVE_FIXED_ROWS)
-    ideal = _initial_block(replace(config, n_states=state_index + 1))
-    psi = ideal[state_index]
+    _require_memory(config.lattice, _CURVE_LIVE_BLOCKS + _CURVE_FIXED_ROWS)
+    (psi,) = _initial_block(config, [member // config.n_noise])
 
     # |1>-branch: forward noisy evolution, then exact inverse
     prop = BatchPropagator(config.lattice)

@@ -14,7 +14,6 @@ byte-identical reruns.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from datetime import datetime, timezone
@@ -89,13 +88,9 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else None
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(dataclasses.asdict(value))
     return value
 
 

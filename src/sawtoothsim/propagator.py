@@ -138,8 +138,8 @@ class BatchPropagator:
         m = work.shape[0]
         H, S = self._kick_shape
         strength = self.lattice.k + np.asarray(delta_k, float).reshape(-1)
-        if len(strength) != m:  # one detuning for every member
-            strength = np.broadcast_to(strength, (m,))
+        if len(strength) != m:
+            raise ValueError(f"{len(strength)} detunings for {m} members")
         tile = self._kick_tile
         for i in range(0, m, tile):
             table = self._kick_table(strength[i:i + tile])
@@ -150,8 +150,8 @@ class BatchPropagator:
         """Advance a (members, N) block one map step.
 
         delta_k is None (noiseless) or a length-members vector of kick
-        perturbations, one per ensemble member; a length-1 vector
-        applies to every member.
+        perturbations, one per ensemble member; any other length is
+        refused with ValueError.
         """
         work = np.fft.ifft(amps, axis=-1)
         if delta_k is None:

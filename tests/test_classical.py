@@ -207,6 +207,14 @@ def test_poincare_rejects_negative_steps():
         poincare_section([PhasePoint(1.0, 0.0)], 0.5, -1)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_lyapunov_numeric_rejects_steps_below_one(steps):
+    # the estimate averages over the steps: zero steps would divide by
+    # zero, and a negative count would return -0.0 without a word
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        lyapunov_numeric(0.1, steps=steps)
+
+
 def test_poincare_matches_per_seed_steps():
     # the section steps all seeds as one array; each orbit equals its
     # seed stepped alone, bit for bit, and zero steps give the seeds

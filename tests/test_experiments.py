@@ -6,7 +6,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from sawtoothsim.experiments import (
     sweep_rate_vs_K,
     sweep_tf,
 )
-from sawtoothsim.circuit import CircuitEngine
+from sawtoothsim.circuit import CircuitEngine, build_sawtooth_circuit
 from sawtoothsim.propagator import BatchPropagator
 from sawtoothsim.states import LatticeParams, WavePacketSpec, packet_amplitudes
 
@@ -235,6 +235,21 @@ class TestFidelityCurve:
         frozen = np.array(self.FROZEN_MEMBERS[channel, regime])
         assert np.max(np.abs(curve.member_f[:, 1:] - frozen)) <= 1e-12
 
+    @pytest.mark.parametrize("n_q", [10, 12, 14, 16])
+    def test_first_step_infidelity_ignores_the_dynamics(self, n_q):
+        # quantum errors ignore the dynamics from the first step: one
+        # noisy step's infidelity per eps^2 and noisy gate, C1, lies in
+        # criterion 04's band for the constant that whole curves fit at
+        # n_q 6-12; 0.24-0.28 over seeds 0-2, standard errors <= 0.01
+        epsilon = 1e-2
+        lattice = LatticeParams(n_q=n_q, K=0.1)
+        curve = fidelity_curve(ExperimentConfig(
+            lattice=lattice, epsilon=epsilon, initial="random", t_max=1,
+            n_noise=32))
+        n_g = build_sawtooth_circuit(lattice).noisy_gate_count
+        c1 = np.mean(1.0 - curve.member_f[:, 1]) / (epsilon ** 2 * n_g)
+        assert 0.20 <= c1 <= 0.36, c1
+
     @settings(max_examples=12, deadline=None)
     @given(channel=st.sampled_from(["quantum", "classical"]),
            regime=st.sampled_from(["memoryless", "static"]),
@@ -364,15 +379,6 @@ class TestFidelityCurve:
 # ---------------------------------------------------------------------------
 
 class TestClassicalErrorRegimes:
-    def test_zero_amplitude_gives_trivial_record(self):
-        (rec,) = classical_error_regimes(
-            0.5, [0.0], n_q=4, n_states=1, bootstrap=0)
-        assert rec.regime == "none"
-        assert rec.model == "none"
-        assert rec.rate == 0.0
-        assert math.isnan(rec.r_squared)
-        assert rec.window == ()
-
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             classical_error_regimes(0.5, [-1e-3], n_q=4)
@@ -520,7 +526,7 @@ class TestSweeps:
     def test_parallel_matches_serial(self, monkeypatch):
         # two usable CPUs, so every sweep forks two workers and each of
         # its measures, a function or a partial of one, has to pickle;
-        # the regime sweep has a delta_K = 0 point and an unfittable one
+        # the regime sweep has an unfittable point
         monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
         sweeps = [
             lambda jobs: sweep_tf([4], [0.05, 0.06], K=5.0, n_noise=4,
@@ -529,7 +535,7 @@ class TestSweeps:
                 [0.5, -0.5], n_q=4, epsilon=0.1, n_noise=3, t_max=30,
                 master_seed=3, jobs=jobs),
             lambda jobs: classical_error_regimes(
-                0.1, [0.0, 5e-2, 1e-5], n_q=6, n_states=4, t_max=8,
+                0.1, [5e-2, 1e-5], n_q=6, n_states=4, t_max=8,
                 bootstrap=10, jobs=jobs),
         ]
         for sweep in sweeps:
@@ -541,8 +547,8 @@ class TestSweeps:
             sweep_tf([4], [0.05], K=5.0, n_noise=2, jobs=0)
 
     def test_sweeps_refuse_nonpositive_epsilon(self, monkeypatch):
-        # the step count of both sweeps scales as 1 / epsilon^2: a zero
-        # or negative amplitude is refused before any point runs
+        # the step count of all three sweeps scales as 1 / amplitude^2:
+        # a zero or negative amplitude is refused before any point runs
         def no_point(config):
             raise AssertionError("a sweep point ran")
 
@@ -555,6 +561,68 @@ class TestSweeps:
                 with pytest.raises(ValueError, match="epsilon must be > 0"):
                     sweep_rate_vs_K([0.5], n_q=4, epsilon=eps, n_noise=2,
                                     t_max=t_max)
+        for dK_list in ([0.0], [3e-2, 0.0], [-1e-3]):
+            for K in (0.1, -0.5):  # chaotic and island regimes
+                with pytest.raises(ValueError, match="delta_K must be > 0"):
+                    classical_error_regimes(K, dK_list, n_q=4, n_states=2)
+
+    # the records of four tiny sweeps, frozen before the trivial
+    # delta_K = 0 record left the regime sweep; they pin the point-seed
+    # offsets, the t_max rules, the fit windows and the bootstrap. The
+    # regime sweep covers an unfittable point and the island branch
+    FROZEN_SWEEPS = {
+        "tf": (
+            (3.3499962344224303, 4, 0.05),
+            (0.9304203492384614, 4, 0.1),
+            (2.169280494435121, 5, 0.05),
+            (0.6788523096762265, 5, 0.1)),
+        "rate": (
+            (0.5, "island", 0.0896721981927648, 0.9706617667211681),
+            (0.5, "diffusive", 0.14104883010840977, 0.9483891690162927),
+            (0.5, "random", 0.08896390459604644, 0.7813538202575399),
+            (-0.5, "island", 0.10391582428553493, 0.9749538122735015),
+            (-0.5, "diffusive", 0.12058166877736773, 0.9240887123527126),
+            (-0.5, "random", 0.09562275553376597, 0.9585814465044621)),
+        "regimes": (
+            (0.05, 0.5092958178940651, "fgr", "exponential",
+             0.16144787714666126, 0.044691342901241785, 0.7633894996914563,
+             0.7633894996914563, 0.7568673223836367, (0.1, 0.9),
+             0.314924756603848),
+            (1e-05, 0.00010185916357881303, "fgr", "none", math.nan,
+             math.nan, math.nan, None, None, (0.1, 0.9), 0.314924756603848)),
+        "island": (
+            (0.03, 0.30557749073643903, "island", "gaussian",
+             1.600823148391379e-05, math.nan, 0.9170199660546794,
+             0.8712390809710712, 0.9170199660546794, (0.1, 0.9), 0.0),),
+    }
+
+    @pytest.mark.parametrize("sweep", list(FROZEN_SWEEPS))
+    def test_sweep_records_frozen(self, sweep):
+        run = {
+            "tf": lambda: sweep_tf([4, 5], [0.05, 0.1], K=5.0, n_noise=4,
+                                   master_seed=9),
+            "rate": lambda: sweep_rate_vs_K(
+                [0.5, -0.5], n_q=4, epsilon=0.1, n_noise=3, t_max=30,
+                master_seed=3),
+            "regimes": lambda: classical_error_regimes(
+                0.1, [5e-2, 1e-5], n_q=6, n_states=4, t_max=8, bootstrap=10),
+            "island": lambda: classical_error_regimes(
+                -0.5, [3e-2], n_q=6, n_states=1, n_noise=8, t_max=200,
+                bootstrap=0),
+        }[sweep]
+        records = [astuple(r) for r in run()]
+        frozen = self.FROZEN_SWEEPS[sweep]
+        assert len(records) == len(frozen)
+        for record, want in zip(records, frozen):
+            assert len(record) == len(want)
+            for got, value in zip(record, want):
+                if isinstance(value, float) and math.isnan(value):
+                    assert math.isnan(got), (record, want)
+                elif isinstance(value, float):
+                    assert got == pytest.approx(value, rel=1e-9, abs=0.0), \
+                        (record, want)
+                else:
+                    assert got == value, (record, want)
 
     def test_bad_grid_refused_before_any_point_runs(self, monkeypatch):
         # every config is built before the first point runs, so a NaN

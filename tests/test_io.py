@@ -12,7 +12,7 @@ from sawtoothsim.circuit import (
     PHASE1,
     build_sawtooth_circuit,
 )
-from sawtoothsim.experiments import ExperimentConfig, FidelityCurve, TfRecord
+from sawtoothsim.experiments import ExperimentConfig, FidelityCurve
 from sawtoothsim.io import (
     read_config,
     render_metadata,
@@ -152,21 +152,17 @@ class TestCircuitFiles:
 
 
 class TestJson:
-    def test_numpy_and_dataclass_conversion(self, tmp_path):
+    def test_numpy_float_and_array_conversion(self, tmp_path):
         path = tmp_path / "out.json"
         payload = {
             "rate": np.float64(0.25),
-            "n": np.int64(7),
             "curve": np.array([1.0, 0.5]),
-            "record": TfRecord(t_f=2.0, n_q=4, epsilon=0.1),
             "bad": math.nan,
         }
         write_json(path, payload, timestamp=False)
         body = json.loads(path.read_text())
         assert body["rate"] == 0.25
-        assert body["n"] == 7
         assert body["curve"] == [1.0, 0.5]
-        assert body["record"]["t_f"] == 2.0
         assert body["bad"] is None
         assert "written" not in body
 

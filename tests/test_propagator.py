@@ -290,16 +290,16 @@ def test_member_rows_independent_of_block_size(n_q):
         assert np.array_equal(forward[m], prop.step(*one)[0])
 
 
-def test_one_detuning_applies_to_every_member():
-    # 40 members span three tiles at n_q = 12
+def test_one_detuning_per_member_required():
+    # 40 members span three tiles at n_q = 12; a single detuning is
+    # not broadcast to every member, any other length is refused
     lat = LatticeParams(n_q=12, K=0.7)
     prop = BatchPropagator(lat)
     amps = block(lat, seed=21, members=40)
-    full = np.full(40, 0.3)
-    for one in ([0.3], np.array([0.3]), 0.3):
-        assert np.array_equal(prop.step(amps, one), prop.step(amps, full))
-    with pytest.raises(ValueError):
-        prop.step(amps, np.zeros(17))
+    for bad in ([0.3], np.array([0.3]), 0.3, np.zeros(17)):
+        with pytest.raises(ValueError, match="detunings for 40 members"):
+            prop.step(amps, bad)
+    prop.step(amps, np.full(40, 0.3))
 
 
 def test_batch_inverse_round_trip():
