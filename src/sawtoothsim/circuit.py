@@ -12,16 +12,19 @@ The step factors into four blocks over n_q qubits:
 4. a diagonal quadratic-phase block implementing the free rotation
    exp(-i T n^2 / 2) on n = l - N/2.
 
-Writing an index as l = sum_j a_j 2^j with binary digits a_j, any
-quadratic exponent in l expands as single-digit terms (a_j^2 = a_j)
-plus cross terms a_j1 a_j2 over ordered pairs j1 != j2, each symmetric
-cross term split across its two ordered pairs.  Digit terms become
-single-qubit phase gates, cross terms controlled-phase gates, and the
-digit-independent remainder accumulates into one recorded scalar
-``phase_offset`` per step (applied during execution but carried by no
-gate, so it is exempt from gate noise).  The ladder's bit reversal is
-not a gate: the kick block reads the digits where the ladder leaves
-them, so every gate of a program draws noise.
+Both diagonal blocks have one form, exp(i s (l - N/2)^2) on a register
+index l: s_kick = 2 k pi^2 / N^2 on the angle index and s_rot = -T / 2
+on the momentum index.  Writing l = sum_j a_j 2^j with binary digits
+a_j, (l - N/2)^2 expands as single-digit terms 2^j (2^j - N) a_j (as
+a_j^2 = a_j) plus cross terms 2^(j1 + j2) a_j1 a_j2 over ordered pairs
+j1 != j2, each symmetric cross term split across its two ordered pairs.
+Digit terms become single-qubit phase gates, cross terms
+controlled-phase gates, and the digit-independent remainders
+accumulate into one recorded scalar ``phase_offset`` = (s_kick + s_rot)
+N^2 / 4 per step (applied during execution but carried by no gate, so
+it is exempt from gate noise).  The ladder's bit reversal is not a
+gate: the kick block reads the digits where the ladder leaves them, so
+every gate of a program draws noise.
 
 Gate budget per step: 2 n_q Hadamards and 3 n_q^2 - n_q gates of
 controlled-phase class (counting the single-qubit phases, which are
@@ -58,7 +61,7 @@ the engine is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
@@ -134,56 +137,45 @@ class CircuitProgram:
         return len(self.gates)
 
 
+def _quadratic(s, n_q, qubit):
+    """Gates of exp(i s (l - N/2)^2) over the binary digits of l.
+
+    Digit j is on qubit ``qubit(j)``.  The digit-independent remainder
+    s N^2 / 4 is carried by no gate; the caller adds it to the offset.
+    """
+    N = 2.0 ** n_q
+    return ([Gate(PHASE1, target=qubit(j), angle=s * 2.0 ** j * (2.0 ** j - N))
+             for j in range(n_q)]
+            + [Gate(CPHASE, control=qubit(j1), target=qubit(j2),
+                    angle=s * 2.0 ** (j1 + j2))
+               for j1 in range(n_q) for j2 in range(n_q) if j1 != j2])
+
+
 def build_sawtooth_circuit(lattice: LatticeParams) -> CircuitProgram:
     """Gate program for one map step on the given lattice."""
     n_q = lattice.n_q
     N = float(lattice.N)
-    k = lattice.k
-    T = lattice.T
-    gates = []
 
     # momentum -> angle: Hadamard/controlled-phase ladder, leaving digit
     # j of the angle index on qubit n_q - 1 - j
+    ladder = []
     for t in reversed(range(n_q)):
-        gates.append(Gate(HADAMARD, target=t))
-        for c in reversed(range(t)):
-            gates.append(Gate(CPHASE, control=c, target=t,
-                              angle=math.pi / 2.0 ** (t - c)))
+        ladder.append(Gate(HADAMARD, target=t))
+        ladder += [Gate(CPHASE, control=c, target=t,
+                        angle=math.pi / 2.0 ** (t - c))
+                   for c in reversed(range(t))]
+    # angle -> momentum: the ladder reversed, its cphase angles negated
+    back = [g if g.kind == HADAMARD else replace(g, angle=-g.angle)
+            for g in reversed(ladder)]
 
-    # kick phase exp(i k (2 pi l / N - pi)^2 / 2) expanded over the
-    # binary digits of the angle index l, each on the qubit holding it
-    top = n_q - 1
-    for j in range(n_q):
-        w = 2.0 ** j / N
-        gates.append(Gate(PHASE1, target=top - j,
-                          angle=2.0 * k * math.pi ** 2 * w * (w - 1.0)))
-    for j1 in range(n_q):
-        for j2 in range(n_q):
-            if j1 != j2:
-                gates.append(Gate(CPHASE, control=top - j1, target=top - j2,
-                                  angle=2.0 * k * math.pi ** 2 * 2.0 ** (j1 + j2) / N ** 2))
-
-    # angle -> momentum: exact reversal of the forward ladder with
-    # negated angles
-    for t in range(n_q):
-        for c in range(t):
-            gates.append(Gate(CPHASE, control=c, target=t,
-                              angle=-math.pi / 2.0 ** (t - c)))
-        gates.append(Gate(HADAMARD, target=t))
-
-    # free rotation exp(-i T (l - N/2)^2 / 2) expanded over the binary
-    # digits of the momentum index l
-    for j in range(n_q):
-        w = 2.0 ** j
-        gates.append(Gate(PHASE1, target=j, angle=(T * w / 2.0) * (N - w)))
-    for j1 in range(n_q):
-        for j2 in range(n_q):
-            if j1 != j2:
-                gates.append(Gate(CPHASE, control=j1, target=j2,
-                                  angle=-(T / 2.0) * 2.0 ** (j1 + j2)))
-
-    # digit-independent remainders of both quadratic expansions
-    offset = k * math.pi ** 2 / 2.0 - T * N ** 2 / 8.0
+    # kick exp(i k (2 pi l / N - pi)^2 / 2) on the angle index, each
+    # digit on the qubit the ladder leaves it on, and free rotation
+    # exp(-i T (l - N/2)^2 / 2) on the momentum index
+    kick = 2.0 * lattice.k * math.pi ** 2 / N ** 2
+    rotation = -lattice.T / 2.0
+    gates = (ladder + _quadratic(kick, n_q, lambda j: n_q - 1 - j)
+             + back + _quadratic(rotation, n_q, lambda j: j))
+    offset = kick * N ** 2 / 4.0 + rotation * N ** 2 / 4.0
     return CircuitProgram(n_q=n_q, gates=tuple(gates), phase_offset=offset)
 
 

@@ -217,8 +217,7 @@ def cmd_tf_scan(args) -> int:
     sio.write_csv(args.out, columns, _header(args), not args.no_timestamp)
     print(f"wrote {len(records)} grid points to {args.out}")
     if all(math.isnan(r.t_f) for r in records):
-        print("numerical failure: no grid point crossed f = 0.9", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise NoCrossingError("no grid point crossed f = 0.9")
     mean_collapse = collapse_constant(records)
     print(f"mean collapse t_f * eps^2 * nq^2 = {mean_collapse:.4f}")
     return EXIT_OK
@@ -238,8 +237,7 @@ def cmd_rate_vs_k(args) -> int:
     sio.write_csv(args.out, columns, _header(args), not args.no_timestamp)
     print(f"wrote {len(records)} (K, kind) rates to {args.out}")
     if all(math.isnan(r.rate) for r in records):
-        print("numerical failure: no grid point could be fitted", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise FitError("no grid point could be fitted")
     return EXIT_OK
 
 

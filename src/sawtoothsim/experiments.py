@@ -533,6 +533,19 @@ def _require_positive(name: str, amplitudes):
         raise ValueError(f"{name} must be > 0 for a sweep, got {bad[0]!r}")
 
 
+def _span(e_folds, rate, lo, hi, name, amplitude):
+    """Steps for ``e_folds`` e-folds at ``rate`` per step, within [lo, hi].
+
+    The rate grows as amplitude^2, so an amplitude whose rate underflows
+    to 0 is refused, naming ``name`` and ``amplitude``.  A NaN rate gives
+    ``lo``, and ExperimentConfig then refuses the amplitude itself.
+    """
+    if rate == 0:
+        raise ValueError(f"{name} = {amplitude!r} is too small for a sweep: "
+                         f"its decay rate per step underflows to 0")
+    return int(min(max(lo, e_folds / rate), hi))
+
+
 def _run_point(point):
     """Record of one sweep point ``(config, measure, failed)``.
 
@@ -573,13 +586,15 @@ def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
 
     Every point starts from the packet at (1, 0).
     A point whose curve never crosses keeps its place with t_f = NaN.
+    An epsilon <= 0, or one whose rate eps^2 n_q^2 underflows to 0, is
+    refused with ValueError before any point runs.
     """
     _require_positive("epsilon", epsilon_list)
     points = []
     for i, (n_q, epsilon) in enumerate(product(n_q_list, epsilon_list)):
         # the crossing sits near 0.126/(eps^2 nq^2); leave generous headroom
-        t_guess = 0.32 / (epsilon ** 2 * n_q ** 2)
-        t_max = int(min(max(12, t_guess), 20000))
+        t_max = _span(0.32, epsilon ** 2 * n_q ** 2, 12, 20000,
+                      "epsilon", epsilon)
         config = ExperimentConfig(
             lattice=LatticeParams(n_q=n_q, K=K), channel="quantum",
             epsilon=epsilon, theta0=1.0, p0=0.0, t_max=t_max,
@@ -599,8 +614,6 @@ def collapse_constant(records) -> float:
         raise ValueError("no records with a finite t_f")
     return float(np.mean(values))
 
-
-RATE_KINDS = ("island", "diffusive", "random")
 
 # the initial state of each kind, as ExperimentConfig fields
 _KIND_STATES = {"island": dict(theta0=1.0, p0=0.0),
@@ -624,13 +637,16 @@ def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
     -4 < K < 0; "diffusive" is a packet at (0, 0) in the chaotic
     layer; "random" is a uniform-modulus random-phase state.  A point
     that cannot be fitted keeps its place with NaN rate and r^2.
+    An epsilon <= 0, or one whose rate sets no step count (it underflows
+    to 0), is refused with ValueError before any point runs.
     """
     _require_positive("epsilon", [epsilon])
     if t_max is None:
         n_g = 3 * n_q ** 2 + n_q
-        t_max = int(min(max(40, 3.5 / (0.25 * epsilon ** 2 * n_g)), 20000))
+        t_max = _span(3.5, 0.25 * epsilon ** 2 * n_g, 40, 20000,
+                      "epsilon", epsilon)
     points = []
-    for i, (K, kind) in enumerate(product(K_list, RATE_KINDS)):
+    for i, (K, kind) in enumerate(product(K_list, _KIND_STATES)):
         config = ExperimentConfig(
             lattice=LatticeParams(n_q=n_q, K=K), channel="quantum",
             epsilon=epsilon, t_max=t_max, n_noise=n_noise,
@@ -722,8 +738,9 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
     its place with model "none" and NaN rate, rate_stderr and r^2.
     Every amplitude runs a curve; the perturbative step count scales as
     1/delta_k^2, so, as the gate sweeps refuse epsilon <= 0, a delta_K
-    that is zero or negative, or not finite, is refused with ValueError
-    before any point runs.
+    that is zero or negative, or not finite, or so small that
+    0.2 delta_k^2 underflows to 0, is refused with ValueError before any
+    point runs.
     """
     _require_positive("delta_K", deltaK_list)
     lattice = LatticeParams(n_q=n_q, K=K)
@@ -745,8 +762,8 @@ def classical_error_regimes(K: float, deltaK_list, n_q: int = 12,
         steps = t_max
         if steps is None and regime == "fgr":
             # perturbative rate estimate Gamma ~ 0.24 delta_k^2 sets the span
-            guess = 4.0 / max(0.2 * delta_k ** 2, 1e-12)
-            steps = int(min(max(40, guess), 30000))
+            steps = _span(4.0, 0.2 * delta_k ** 2, 40, 30000,
+                          "delta_K", delta_K)
         elif steps is None:
             steps = 60 if regime == "lyapunov" else 1500
 

@@ -1,5 +1,6 @@
 """Gate layer: counts, kernels, noise draws, engine equivalences."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -57,6 +58,52 @@ def test_gate_validation():
         Gate(kind=CPHASE, control=2, target=2, angle=0.1)
     with pytest.raises(ValueError):
         Gate(kind="spin", target=0)
+
+
+# sha256 of each program's gates, as "kind target control repr(angle)"
+# lines, followed by repr(phase_offset); recorded from the gate-by-gate
+# builder before its two quadratic blocks shared one expansion, so a
+# change of one ulp in any angle or in the offset fails
+_PROGRAM_DIGESTS = {
+    (1, 0.1): "7073a729e40772909b61e929a791009bc7b0128220182694c0b7b5a5ac7593bb",
+    (1, -0.5): "1ec9ae465f3dd811ac474f4756cfa5e37dd58a52512c5f8f90af2152b499f34c",
+    (1, 3.0): "d129fc81240f0c3794f724198e1ac305a01fb573f51de0f2596507e5ce1683ed",
+    (1, -7.3): "5575462868ead592e95d535268052e5e2904600b8544a03875c5283bdbe5259a",
+    (3, 0.1): "4c029a6f185ee2a715d526a0ef5191c061906b8f9b67b236bdb11391c3ae482c",
+    (3, -0.5): "bf5ef9df6dd7921ce5d5e3143409139b98080d50ee6acb804afc054429fef794",
+    (3, 3.0): "522e3723e6f75c53e8213cd386770576ee114c2f32ee1fc7d7c312b17dbddc53",
+    (3, -7.3): "40d191497f401751ae0c96fcf7d42f689676702aa4f93e0e3ab7d86ac0d3668a",
+    (6, 0.1): "6e7250e3733678650bb6c7f4cb292a3afffe4045a29f7938b6f1af036954e5e4",
+    (6, -0.5): "4e72bb39865419dc106515b229e14c685e11eeae017e19b7c4c06e9e8e7152db",
+    (6, 3.0): "6fdd8d9207d861ccf5f431c5dfce9134b91a275e64391fdb80e12e8020e0aafb",
+    (6, -7.3): "6c84d053b6012a341313a6ff24164b2a24977eaa261fd295c878d71851243382",
+    (9, 0.1): "62346e209c200a75e06562996ec9f92888c42a727b313475855918c1e111fb8b",
+    (9, -0.5): "87bbd7ba04475fb4e3f0bb4c5d531008578a6e1df41bcc6ee91a57aa82fb9022",
+    (9, 3.0): "c5d0cf6ec04449f2de750af06aa27e5fc29537fe709dad822784ac464e5bc001",
+    (9, -7.3): "5fd91c8f531527c4f29a9cd732184a984cfd1176fbbaa08b7d101937c41a2bbc",
+    (12, 0.1): "22ae966472ef988433ca8e071deafadf735caeda08f52400fa692c9d171c32dc",
+    (12, -0.5): "7b21f818db6bacebcf61634684d05a349da9a095444fe964251e85afd2de94a7",
+    (12, 3.0): "50fa29a01b6c1b7aff0596ccf264dd1b8052624a352f93f6e8631b8282baa3be",
+    (12, -7.3): "3070925360a74c5f66705aaa4fa8d69cde271c3720e4006e6b4eb7fcb2f12701",
+    (16, 0.1): "de5d694dcc855d80810fbac671f7a1215dbe9caa7e302cec6e5d566fe75ca6b2",
+    (16, -0.5): "ce4e73d52445ef2cb02e02afbf929ba8f6042db73442ef906924108397333ae7",
+    (16, 3.0): "b059aef2241b57bc20d1705d13d1e49342892a8b5d2c7a6d52559db010823da1",
+    (16, -7.3): "aace8d57fa3c56fc63722024ba09aec234a5aeef217461428150f0b4e077a87c",
+}
+
+
+def _program_digest(program):
+    h = hashlib.sha256()
+    for g in program.gates:
+        h.update(f"{g.kind} {g.target} {g.control} {g.angle!r}\n".encode())
+    h.update(repr(program.phase_offset).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n_q, K", sorted(_PROGRAM_DIGESTS))
+def test_gate_program_frozen(n_q, K):
+    program = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=K))
+    assert _program_digest(program) == _PROGRAM_DIGESTS[n_q, K]
 
 
 # ---------------------------------------------------------------------------

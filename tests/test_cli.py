@@ -244,6 +244,18 @@ class TestSweepCommands:
             assert "config error: epsilon must be > 0" in err
         assert not out.exists()
 
+    def test_underflowing_epsilon_is_a_config_error(self, tmp_path, capsys):
+        # epsilon^2 underflows to 0, so no step count follows from it:
+        # refused as a config error rather than a traceback
+        out = tmp_path / "tf.csv"
+        assert run("tf-scan", "--nq", "4", "--epsilon", "1e-170",
+                   "--ensemble", "2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: epsilon = 1e-170 is too small for a sweep: "
+            "its decay rate per step underflows to 0"]
+        assert not out.exists()
+
     def test_rate_vs_k_tiny(self, tmp_path):
         out = tmp_path / "rates.csv"
         code = run("rate-vs-k", "--K", "0.5", "--nq", "5",
