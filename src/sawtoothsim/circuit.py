@@ -54,8 +54,13 @@ bits join it, and a diagonal gate that reaches outside them commutes
 past the group's Hadamards to the run before or after it.  Each member
 then applies one dense 2^k x 2^k unitary per group.  One sawtooth step
 is then about 2 n_q / k dense passes and as many phase tables (8 and 8
-at n_q = 12).  A gate-by-gate executor in the tests is the reference
-the engine is checked against.
+at n_q = 12).  The coefficients, unitaries and phase tables of several
+steps can also be built in one pass over their steps x members rows
+and applied one step at a time, bit for bit what the step-by-step call
+gives; on small registers, where a step costs numpy dispatch rather
+than arithmetic, that pays the fixed costs once per chunk of steps.  A
+gate-by-gate executor in the tests is the reference the engine is
+checked against.
 """
 
 from __future__ import annotations
@@ -354,27 +359,52 @@ def _phase_table(phases, const, bits):
     return table
 
 
-def _apply_run(amps, phases, const, bits):
-    """Multiply ``amps`` by the phases of one diagonal run, in place.
+def _run_factors(phases, const, bits):
+    """Phase factors of one diagonal run, each built when it is asked for.
 
-    The table covers the bits below the run's highest bit, and the
-    highest bit's factor then multiplies the upper half in place, so
-    no full-size table is built, and the two half-size tables are not
-    held at once.  A one-bit run applies its two-entry
-    table whole: an in-place multiply that reaches one amplitude per
-    member loops over the members, and numpy rounds that loop
-    differently for one member than for several.
+    Yields the (members, 2^(len(bits) - 1)) table over the bits below
+    the run's highest bit, then that bit's factor (see
+    :func:`_bit_factor`); a one-bit run yields its two-entry table alone.
     """
-    m = amps.shape[0]
     if len(bits) == 1:
-        view = amps.reshape(m, -1, 2)
-        view *= _phase_table(phases, const, bits)[:, None, :]
+        yield _phase_table(phases, const, bits)
         return
     *low, (lin, quads) = bits
-    view = amps.reshape(m, -1, 2, 1 << len(low))
-    view *= _phase_table(phases, const, low)[:, None, None, :]
-    upper = view[:, :, 1, :]
-    upper *= _bit_factor(phases, lin, quads)[:, None, :]
+    yield _phase_table(phases, const, low)
+    yield _bit_factor(phases, lin, quads)
+
+
+def _run_entries(bits):
+    """Entries per member of the factors :func:`_run_factors` yields."""
+    *low, (_, quads) = bits
+    if not low:
+        return 2
+    size = 1 << len(low)
+    return size + (size if any(s is not None for s in quads) else 1)
+
+
+def _apply_run(amps, factors):
+    """Multiply ``amps`` by the phases of one diagonal run, in place.
+
+    ``factors`` holds the run's factors in the order of
+    :func:`_run_factors`.  The table covers the bits below the run's
+    highest bit, and the highest bit's factor then multiplies the upper
+    half in place, so no full-size table is built; given the generator,
+    the two half-size tables are not held at once.  A one-bit run
+    applies its two-entry table whole: an in-place multiply that
+    reaches one amplitude per member loops over the members, and numpy
+    rounds that loop differently for one member than for several.
+    """
+    m = amps.shape[0]
+    factors = iter(factors)
+    table = next(factors)
+    size = table.shape[-1]
+    view = amps.reshape(m, -1, size)
+    view *= table[:, None, :]
+    del table  # before the highest bit's factor is built
+    for top in factors:
+        upper = view.reshape(m, -1, 2, size)[:, :, 1, :]
+        upper *= top[:, None, :]
 
 
 def _tilted(w, b, c, em, ep):
@@ -461,7 +491,11 @@ class CircuitEngine:
     Every other operation across members is elementwise or a
     per-member reduction, and each matrix product takes one member's
     unitary and rows, so a member's row does not depend on which other
-    members share its block.
+    members share its block.  :meth:`step_factors` therefore builds the
+    factors of several steps as one block of steps x members rows, and
+    :meth:`step_with` applies one step of them bit for bit as
+    :meth:`step_noisy` would; ``table_entries`` counts the phase-table
+    entries of one member's step.
     """
 
     def __init__(self, program: CircuitProgram):
@@ -514,12 +548,16 @@ class CircuitEngine:
         self._terms = np.array([i for terms in slots.terms for i in terms],
                                dtype=np.intp)
         self._starts = np.cumsum([0] + [len(t) for t in slots.terms[:-1]])
+        # phase-table entries per member and step
+        self.table_entries = sum(_run_entries(b) for kind, _, b, _
+                                 in self.segments if kind == "d")
 
     def step_noisy(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         """Evolved block; ``amps`` may be overwritten.
 
         amps: (members, 2^n_q); params: (members, noisy_gate_count, 4)
-        in program gate order.
+        in program gate order.  Each phase table is built just before it
+        is applied.
         """
         m = amps.shape[0]
         if amps.shape != (m, 1 << self.n_q):
@@ -529,6 +567,52 @@ class CircuitEngine:
         if params.shape != expected:
             raise ValueError(f"params has shape {params.shape}, "
                              f"expected {expected}")
+        phases, blocks = self._coefficients(params)
+        return self._apply(amps, blocks, (
+            _run_factors(phases, a, b)
+            for kind, a, b, _ in self.segments if kind == "d"))
+
+    def step_factors(self, params: np.ndarray):
+        """Every factor of the steps in ``params``, built in one pass.
+
+        params: (steps, members, noisy_gate_count, 4); the steps * members
+        rows go through the coefficients, the unitaries and the phase
+        tables together, row by row as in :meth:`step_noisy`.  The
+        tables hold ``steps * members * table_entries`` entries.
+        Returns what :meth:`step_with` takes.
+        """
+        gates = (self.program.noisy_gate_count, PARAMS_PER_GATE)
+        if params.ndim != 4 or params.shape[2:] != gates:
+            raise ValueError(f"params has shape {params.shape}, expected "
+                             f"(steps, members, {gates[0]}, {gates[1]})")
+        steps, m = params.shape[:2]
+        phases, blocks = self._coefficients(params.reshape(steps * m, *gates))
+        blocks = [w.reshape(steps, m, *w.shape[1:]) for w in blocks]
+        runs = [[f.reshape(steps, m, -1) for f in _run_factors(phases, a, b)]
+                for kind, a, b, _ in self.segments if kind == "d"]
+        return m, blocks, runs
+
+    def step_with(self, amps: np.ndarray, factors, step: int) -> np.ndarray:
+        """``amps`` evolved by step ``step`` of :meth:`step_factors`.
+
+        Bit for bit what :meth:`step_noisy` gives for that step's
+        parameters; ``amps`` may be overwritten.
+        """
+        m, blocks, runs = factors
+        if amps.shape != (m, 1 << self.n_q):
+            raise ValueError(f"amps has shape {amps.shape}, expected "
+                             f"({m}, {1 << self.n_q})")
+        return self._apply(amps, [w[step] for w in blocks],
+                           ([f[step] for f in run] for run in runs))
+
+    def _coefficients(self, params):
+        """Phase factors per slot and group unitaries of each params row.
+
+        A row takes every gate's four sector differences with
+        elementwise operations, then gathers and sums them into its
+        coefficients, all slots in one reduction.
+        """
+        m = params.shape[0]
         phases = hadamard = None
         if self._angles.size:
             # sector differences: e00, e01 - e00, e10 - e00 and
@@ -547,10 +631,19 @@ class CircuitEngine:
             hadamard = (np.cos(th), tilt.conj(), tilt)
         blocks = [_unitaries(m, bits, ops, hadamard, phases)
                   for bits, ops in self._batches]
+        return phases, blocks
+
+    def _apply(self, amps, blocks, runs):
+        """``amps`` through every segment, in order.
+
+        ``blocks`` holds each batch's (members, groups, 2^k, 2^k)
+        unitaries and ``runs`` yields each diagonal run's factors.
+        """
+        runs = iter(runs)
         spare = None  # the groups alternate between amps and one spare block
         for kind, a, b, lo in self.segments:
             if kind == "d":
-                _apply_run(amps, phases, a, b)
+                _apply_run(amps, next(runs))
                 continue
             if spare is None:
                 spare = np.empty_like(amps)

@@ -26,7 +26,15 @@ per-member derived RNG streams so curves are reproducible bit for bit
 from (config, master_seed) regardless of ensemble size, execution
 order or the number of cores: a large block is stepped in row slices
 on a few threads (:func:`_step_in_slices`), and a member's row does not
-depend on which rows share its slice.
+depend on which rows share its slice.  On small blocks the gate
+channel pays numpy's fixed costs per chunk of steps instead: the
+perturbed branch draws S steps per member in one call and builds their
+circuit factors in one pass over S * members rows, S = min(steps left,
+2^16 // (members * the larger of a step's phase-table entries and its
+noise parameters)) (:func:`_chunk_steps`), then applies them step by
+step, bit for bit the per-step result.  A block for which S = 0 (from
+31 members at n_q = 9, 14 at n_q = 10 and 4 at n_q = 12) steps one
+step at a time.
 
 Decay models are fitted on -log f: linear in t (exponential decay,
 rate Gamma) or linear in t^2 (Gaussian decay, rate 1/tau^2), by least
@@ -258,7 +266,8 @@ def _initial_block(config: ExperimentConfig, states) -> np.ndarray:
     return block
 
 
-def noise_blocks(config: ExperimentConfig, members, shape: tuple):
+def noise_blocks(config: ExperimentConfig, members, shape: tuple,
+                 chunks=None):
     """Per-step noise parameters of the listed ensemble members.
 
     Yields one (len(members),) + shape block per map step.  Member m
@@ -267,22 +276,46 @@ def noise_blocks(config: ExperimentConfig, members, shape: tuple):
     parameter table with a = epsilon, the classical channel a scalar
     kick detuning delta_k with a = delta_K / T.  The memoryless regime
     draws a fresh block every step; the static regime draws once and
-    yields that block forever.  Nothing is drawn until a block is
-    requested, so only the steps actually evolved consume the streams.
-    The yielded array is refilled in place at the next memoryless step.
+    yields that block forever.  The yielded array is refilled in place
+    at the next memoryless step.
+
+    Given ``chunks``, step counts S, the source draws S memoryless steps
+    at a time: member m draws ``uniform(-a, a, (S,) + shape)`` in one
+    call, the numbers of S per-step calls, and the source yields them as
+    one (S, len(members)) + shape block per count.  A static source
+    yields its one draw as a (1, len(members)) + shape block for every
+    count.  The gate branch asks for chunks of S = min(steps left,
+    :func:`_chunk_steps`) steps, so it draws exactly the steps it runs:
+    per step or per chunk, nothing is drawn until a block is requested.
     """
     if config.channel == "classical":
         domain, a = streams.DOMAIN_CLASSICAL, config.delta_K / config.lattice.T
     else:
         domain, a = streams.DOMAIN_GATE, config.epsilon
     rngs = [streams.stream(config.master_seed, domain, m) for m in members]
-    block = np.empty((len(rngs), *shape))
-    while True:
-        for i, rng in enumerate(rngs):
-            block[i] = rng.uniform(-a, a, shape)
-        yield block
-        while config.regime == "static":
+    if chunks is None:
+        block = np.empty((len(rngs), *shape))
+        while True:
+            for i, rng in enumerate(rngs):
+                block[i] = rng.uniform(-a, a, shape)
             yield block
+            while config.regime == "static":
+                yield block
+
+    def draw(steps):
+        block = np.empty((steps, len(rngs), *shape))
+        for i, rng in enumerate(rngs):
+            block[:, i] = rng.uniform(-a, a, (steps, *shape))
+        return block
+
+    frozen = None
+    for size in chunks:
+        if config.regime == "memoryless":
+            yield draw(size)
+            continue
+        if frozen is None:
+            frozen = draw(1)
+        yield frozen
 
 
 def _usable_cpus() -> int:
@@ -355,14 +388,36 @@ def _step_in_slices(step, block: np.ndarray, params=None) -> np.ndarray:
     return block
 
 
+def _chunk_steps(engine: CircuitEngine, members: int) -> int:
+    """Most steps of gate noise whose factors are built at once.
+
+    A chunk's phase tables and its noise parameters each hold at most
+    ``_KICK_TILE_AMPS`` entries: per member and step, a sawtooth step's
+    tables hold at least N entries, and up to n_q = 6 its parameters
+    outnumber them.  0 where one step's tables or parameters are over
+    the budget.
+    """
+    per_step = max(engine.table_entries,
+                   engine.program.noisy_gate_count * PARAMS_PER_GATE)
+    return _KICK_TILE_AMPS // (members * per_step)
+
+
 def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
-                     block: np.ndarray, members):
-    """Yield the perturbed (members, N) block after each map step.
+                     block: np.ndarray, members, steps: int):
+    """Yield the perturbed (members, N) block after each of ``steps`` steps.
 
     Row i of ``block`` evolves under the noise of ensemble member
     ``members[i]`` (see :func:`noise_blocks`): the classical channel
     steps ``prop`` with a per-member kick detuning, the quantum
     channel runs the noisy gate circuit.  ``block`` may be overwritten.
+
+    The quantum channel draws the noise of S = min(steps left,
+    :func:`_chunk_steps`) steps at once, builds their factors in one
+    pass (:meth:`CircuitEngine.step_factors`) and applies them one step
+    at a time.  A static chunk is its one draw, whose factors serve
+    every step.  Where one step is over the budget (S = 0), each step
+    runs :meth:`CircuitEngine.step_noisy` in row slices.  A chunked
+    block holds at most 2^16 / N members, too few to slice.
     """
     if config.channel == "classical":
         step, shape = prop.step, ()
@@ -370,7 +425,20 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
         engine = CircuitEngine(build_sawtooth_circuit(config.lattice))
         step = engine.step_noisy
         shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
-    for params in noise_blocks(config, members, shape):
+        chunk = _chunk_steps(engine, len(members))
+        if chunk:
+            if config.regime == "static":
+                chunk = max(steps, 1)
+            sizes = [min(chunk, steps - t) for t in range(0, steps, chunk)]
+            for size, params in zip(sizes, noise_blocks(config, members,
+                                                         shape, sizes)):
+                factors = engine.step_factors(params)
+                for t in range(size):  # a static chunk has one step
+                    block = engine.step_with(block, factors, t % len(params))
+                    yield block
+                del factors, params  # not held while the next is built
+            return
+    for params in islice(noise_blocks(config, members, shape), steps):
         block = _step_in_slices(step, block, params)
         yield block
 
@@ -393,7 +461,14 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # fixed rows.  scattering_fidelity builds one state and echoes one
 # member, so it holds a one-member curve's rows whichever member it
 # echoes: at n_q = 16 a first call peaks at 7.96 rows (gate) and 7.88
-# (kick), later calls at 7.05 for the first or a later state.
+# (kick), later calls at 7.05 for the first or a later state.  These
+# are step-by-step peaks.  A gate branch that builds a chunk of steps at
+# once (_chunk_steps) holds at most 2^16 phase-table entries (1 MB) and
+# 2^16 noise parameters for it, and only where one step's fit, so only
+# for blocks of at most 2^16 amplitudes: tracemalloc put such a curve's
+# peak, besides its member_f, at 3.1 MB or less (n_q 1 to 13, 1 to 50
+# members), which is 22 rows for one member at n_q = 12 and 12 at
+# n_q = 13.  From n_q = 14 on one step of one member is over the budget.
 _CURVE_LIVE_BLOCKS = 6
 _CURVE_FIXED_ROWS = 4
 
@@ -430,13 +505,13 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
     ideal = _initial_block(config, range(config.n_states))
     branch = perturbed_branch(config, prop,
                               np.repeat(ideal, config.n_noise, axis=0),
-                              range(n_members))
+                              range(n_members), config.t_max)
 
     # member s * n_noise + j starts from state s; the overlap reads each
     # ideal row once for its n_noise members, with no gathered copy
     member_f = np.empty((n_members, config.t_max + 1))
     member_f[:, 0] = 1.0
-    for t, pert in enumerate(islice(branch, config.t_max), 1):
+    for t, pert in enumerate(branch, 1):
         ideal = _step_in_slices(prop.step, ideal)
         overlap = np.einsum("sn,skn->sk", ideal.conj(),
                             pert.reshape(config.n_states, config.n_noise, -1))
@@ -816,7 +891,7 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
     # |1>-branch: forward noisy evolution, then exact inverse
     prop = BatchPropagator(config.lattice)
     branch = psi.copy().reshape(1, -1)
-    for branch in islice(perturbed_branch(config, prop, branch, [member]), t):
+    for branch in perturbed_branch(config, prop, branch, [member], t):
         pass
     for _ in range(t):
         branch = prop.step_inverse(branch)

@@ -421,6 +421,39 @@ def test_compiled_engine_matches_per_gate_reference(program, members, eps, seed)
     assert np.max(np.abs(out - ref)) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(program=programs(max_n_q=8), members=st.integers(1, 5),
+       steps=st.integers(1, 4), eps=st.floats(0.0, 0.1),
+       seed=st.integers(0, 2 ** 16))
+def test_step_factors_equal_step_noisy(program, members, steps, eps, seed):
+    # the factors of several steps, built as one block of steps x members
+    # rows, step a block bit for bit as step_noisy does step by step
+    amps, _ = noisy_inputs(program, members, eps, seed)
+    params = np.random.default_rng(seed + 1).uniform(
+        -eps, eps, (steps, members, program.noisy_gate_count, PARAMS_PER_GATE))
+    engine = CircuitEngine(program)
+    factors = engine.step_factors(params)
+    chunked, stepped = amps.copy(), amps.copy()
+    for step in range(steps):
+        chunked = engine.step_with(chunked, factors, step)
+        stepped = engine.step_noisy(stepped, params[step])
+        assert np.array_equal(chunked, stepped)
+
+
+def test_step_factors_reject_misshapen_blocks():
+    program = build_sawtooth_circuit(LatticeParams(n_q=3, K=0.1))
+    engine = CircuitEngine(program)
+    n_g = program.noisy_gate_count
+    for shape in ((2, 3, n_g + 1, 4), (2, 3, n_g, 3), (3, n_g, 4)):
+        with pytest.raises(ValueError, match="params has shape"):
+            engine.step_factors(np.zeros(shape))
+    factors = engine.step_factors(np.zeros((2, 3, n_g, 4)))
+    for amps in (np.ones((1, 8), complex), np.ones((3, 16), complex)):
+        with pytest.raises(ValueError, match="amps has shape"):
+            engine.step_with(amps, factors, 0)
+    engine.step_with(np.ones((3, 8), complex), factors, 1)
+
+
 @pytest.mark.parametrize("n_q", [3, 6])
 @pytest.mark.parametrize("kind", [HADAMARD, CPHASE, PHASE1])
 def test_one_kind_programs_match_reference(kind, n_q):

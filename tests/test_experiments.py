@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,7 +33,11 @@ from sawtoothsim.experiments import (
     sweep_rate_vs_K,
     sweep_tf,
 )
-from sawtoothsim.circuit import CircuitEngine, build_sawtooth_circuit
+from sawtoothsim.circuit import (
+    PARAMS_PER_GATE,
+    CircuitEngine,
+    build_sawtooth_circuit,
+)
 from sawtoothsim.propagator import BatchPropagator
 from sawtoothsim.states import LatticeParams, WavePacketSpec, packet_amplitudes
 
@@ -932,6 +937,154 @@ class TestRowSlices:
             pytest.fail("the forked sweep did not finish in 120 s")
         assert proc.returncode == 0, err
         assert out.split() == ["done"]
+
+
+def chunk_config(n_q, regime="memoryless", members=1, steps=11, seed=4):
+    """Gate noise on ``members`` draws of one random state."""
+    return ExperimentConfig(lattice=LatticeParams(n_q=n_q, K=0.3),
+                            epsilon=0.03, regime=regime, initial="random",
+                            t_max=steps, n_noise=members, master_seed=seed)
+
+
+def chunk_sizes(monkeypatch):
+    """Steps of every chunk whose factors the engine builds, in order."""
+    sizes = []
+    build = CircuitEngine.step_factors
+
+    def recorded(self, params):
+        sizes.append(len(params))
+        return build(self, params)
+
+    monkeypatch.setattr(CircuitEngine, "step_factors", recorded)
+    return sizes
+
+
+def counted_gate_draws(monkeypatch):
+    """Uniforms drawn from each member's gate-noise stream, by member."""
+    drawn = {}
+    stream = streams.stream
+
+    class Counted:
+        def __init__(self, rng, member):
+            self.rng, self.member = rng, member
+
+        def uniform(self, low, high, size):
+            drawn[self.member] = drawn.get(self.member, 0) + int(np.prod(size))
+            return self.rng.uniform(low, high, size)
+
+    def counted(master_seed, *path):
+        rng = stream(master_seed, *path)
+        return Counted(rng, path[1]) if path[0] == streams.DOMAIN_GATE else rng
+
+    monkeypatch.setattr(streams, "stream", counted)
+    return drawn
+
+
+class TestStepChunks:
+    """Gate-noise steps built a chunk at a time, against step by step."""
+
+    @pytest.mark.parametrize("n_q", range(1, 11))
+    def test_chunks_equal_per_step_path(self, monkeypatch, n_q):
+        # 11 steps run as chunks of 3 + 3 + 3 + 2 (a static branch builds
+        # its one draw once); every yielded block equals step_noisy on
+        # the per-step draws of the same streams
+        sizes = chunk_sizes(monkeypatch)
+        for members, regime in product((1, 3, 7), ("memoryless", "static")):
+            config = chunk_config(n_q, regime, members)
+            start = np.repeat(ex._initial_block(config, [0]), members, axis=0)
+            monkeypatch.setattr(ex, "_chunk_steps", lambda engine, members: 3)
+            sizes.clear()
+            chunked = [b.copy() for b in ex.perturbed_branch(
+                config, BatchPropagator(config.lattice), start.copy(),
+                range(members), 11)]
+            assert sizes == ([3, 3, 3, 2] if regime == "memoryless" else [1])
+
+            engine = CircuitEngine(build_sawtooth_circuit(config.lattice))
+            draws = ex.noise_blocks(config, range(members), (
+                engine.program.noisy_gate_count, PARAMS_PER_GATE))
+            block = start.copy()
+            assert len(chunked) == 11
+            for got in chunked:
+                block = engine.step_noisy(block, next(draws))
+                assert np.array_equal(got, block)
+
+    @pytest.mark.parametrize("regime", ["memoryless", "static"])
+    def test_curve_equals_per_step_curve(self, monkeypatch, regime):
+        # 12 members at n_q = 6 step in chunks of 11, 11, 11 and 7 steps
+        config = replace(chunk_config(6, regime, 4, steps=40), n_states=3,
+                         initial="gaussian", theta0=None)
+        sizes = chunk_sizes(monkeypatch)
+        chunked = fidelity_curve(config).member_f
+        assert sizes == ([11, 11, 11, 7] if regime == "memoryless" else [1])
+        sizes.clear()
+        monkeypatch.setattr(ex, "_chunk_steps", lambda engine, members: 0)
+        assert np.array_equal(fidelity_curve(config).member_f, chunked)
+        assert sizes == []
+
+    def test_chunked_blocks_never_slice(self):
+        # a step's tables hold at least N entries per member, so a block
+        # whose one step fits the budget is below two slices; step_factors
+        # builds table_entries per member and step
+        for n_q in range(1, 15):
+            engine = CircuitEngine(build_sawtooth_circuit(
+                LatticeParams(n_q=n_q, K=0.1)))
+            N = 1 << n_q
+            assert engine.table_entries >= N
+            for members in (1, 2, 3, 7, 25, 50, 200):
+                if ex._chunk_steps(engine, members):
+                    assert members * N // ex._KICK_TILE_AMPS < 2
+            params = np.zeros((2, 3, engine.program.noisy_gate_count,
+                               PARAMS_PER_GATE))
+            _, _, runs = engine.step_factors(params)
+            assert sum(f[0].size for run in runs for f in run) == (
+                3 * engine.table_entries)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_each_step_draws_its_own_uniforms(self, monkeypatch, forced):
+        # 0, 1, S - 1, S and S + 1 steps (S = 20 for 7 members at n_q = 6)
+        # draw steps x n_g x 4 uniforms per member, chunked or (forced)
+        # step by step; a static branch draws one step's
+        memoryless = chunk_config(6, members=7)
+        engine = CircuitEngine(build_sawtooth_circuit(memoryless.lattice))
+        per_step = engine.program.noisy_gate_count * PARAMS_PER_GATE
+        S = ex._chunk_steps(engine, 7)
+        assert S == 20
+        if forced:
+            monkeypatch.setattr(ex, "_chunk_steps", lambda engine, members: 0)
+        drawn = counted_gate_draws(monkeypatch)
+        start = np.repeat(ex._initial_block(memoryless, [0]), 7, axis=0)
+        for regime, steps in product(("memoryless", "static"),
+                                     (0, 1, S - 1, S, S + 1)):
+            drawn.clear()
+            config = replace(memoryless, regime=regime)
+            yielded = sum(1 for _ in ex.perturbed_branch(
+                config, BatchPropagator(config.lattice), start.copy(),
+                range(7), steps))
+            assert yielded == steps
+            once = steps if regime == "memoryless" else min(steps, 1)
+            assert drawn == {m: once * per_step for m in range(7) if once}
+
+    def test_chunked_draw_equals_per_step_draws(self):
+        # the gate-domain twin of the kick detunings' bulk draw: chunks of
+        # 4 and 3 steps hold the numbers of 7 per-step draws, and a
+        # member's stream drawn in bulk
+        config = chunk_config(5, members=3, seed=13)
+        shape = (build_sawtooth_circuit(config.lattice).noisy_gate_count,
+                 PARAMS_PER_GATE)
+        members = [0, 4, 2]
+        steps = ex.noise_blocks(config, members, shape)
+        per_step = np.stack([next(steps).copy() for _ in range(7)])
+        chunks = list(ex.noise_blocks(config, members, shape, [4, 3]))
+        assert [len(c) for c in chunks] == [4, 3]
+        assert np.array_equal(np.concatenate(chunks), per_step)
+        bulk = streams.stream(13, streams.DOMAIN_GATE, 4).uniform(
+            -0.03, 0.03, (7, *shape))
+        assert np.array_equal(per_step[:, 1], bulk)
+        # a static source yields its first draw as a one-step chunk
+        static = list(ex.noise_blocks(replace(config, regime="static"),
+                                      members, shape, [4, 3]))
+        assert static[0] is static[1] and static[0].shape == (1, 3, *shape)
+        assert np.array_equal(static[0][0], per_step[0])
 
 
 # ---------------------------------------------------------------------------

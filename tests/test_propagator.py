@@ -167,11 +167,12 @@ def test_evolve_contracts():
     amps = block(lat, seed=8)
 
     # zero steps consume nothing and leave the block alone
-    branch = perturbed_branch(kick_config(lat, 0.2), prop, amps.copy(), [0])
-    assert list(itertools.islice(branch, 0)) == []
+    branch = perturbed_branch(kick_config(lat, 0.2), prop, amps.copy(), [0], 0)
+    assert list(branch) == []
 
     # a zero amplitude reproduces the noiseless evolution exactly
-    branch = perturbed_branch(kick_config(lat, 0.0), prop, amps.copy(), [0])
+    branch = perturbed_branch(kick_config(lat, 0.0), prop, amps.copy(), [0],
+                              25)
     plain = amps
     for pert in itertools.islice(branch, 25):
         plain = prop.step(plain)
@@ -185,7 +186,8 @@ def test_evolve_keep_all_and_delta_log():
     lat = LatticeParams(n_q=6, K=0.3)
     config = kick_config(lat, 0.2 * lat.T)
     states = [s.copy() for s in itertools.islice(
-        perturbed_branch(config, BatchPropagator(lat), block(lat, seed=9), [3]),
+        perturbed_branch(config, BatchPropagator(lat), block(lat, seed=9), [3],
+                         12),
         12)]
     assert len(states) == 12
     blocks = noise_blocks(config, [3], ())
@@ -200,7 +202,7 @@ def test_evolve_matches_manual_steps_bitwise():
     prop = BatchPropagator(lat)
     amps = block(lat, seed=10, members=2)
     config = kick_config(lat, 0.1 * lat.T, seed=6)
-    branch = perturbed_branch(config, prop, amps.copy(), [0, 1])
+    branch = perturbed_branch(config, prop, amps.copy(), [0, 1], 8)
     final = list(itertools.islice(branch, 8))[-1]
     manual = amps
     rngs = [streams.stream(6, streams.DOMAIN_CLASSICAL, m) for m in (0, 1)]
