@@ -26,13 +26,14 @@ per-member derived RNG streams so curves are reproducible bit for bit
 from (config, master_seed) regardless of ensemble size, execution
 order or the number of cores: a large block is stepped in row slices
 on a few threads (:func:`_step_in_slices`), and a member's row does not
-depend on which rows share its slice.  On small blocks the gate
-channel pays numpy's fixed costs per chunk of steps instead: the
-perturbed branch draws S steps per member in one call and builds their
-circuit factors in one pass over S * members rows, S = min(steps left,
-2^16 // (members * the larger of a step's phase-table entries and its
-noise parameters)) (:func:`_chunk_steps`), then applies them step by
-step, bit for bit the per-step result.  A block for which S = 0 (from
+depend on which rows share its slice.  The perturbed branch pays
+numpy's fixed costs per chunk of steps: it draws S steps per member in
+one call, S = min(steps left, 2^16 // members) for kick noise.  On
+small blocks the gate channel also builds the circuit factors of its
+chunk in one pass over S * members rows, S = min(steps left, 2^16 //
+(members * the larger of a step's phase-table entries and its noise
+parameters)) (:func:`_chunk_steps`), then applies them step by step,
+bit for bit the per-step result.  A gate block for which S = 0 (from
 31 members at n_q = 9, 14 at n_q = 10 and 4 at n_q = 12) steps one
 step at a time.
 
@@ -284,9 +285,10 @@ def noise_blocks(config: ExperimentConfig, members, shape: tuple,
     call, the numbers of S per-step calls, and the source yields them as
     one (S, len(members)) + shape block per count.  A static source
     yields its one draw as a (1, len(members)) + shape block for every
-    count.  The gate branch asks for chunks of S = min(steps left,
-    :func:`_chunk_steps`) steps, so it draws exactly the steps it runs:
-    per step or per chunk, nothing is drawn until a block is requested.
+    count.  :func:`perturbed_branch` asks for chunks of S = min(steps
+    left, its chunk size) steps in both channels, so it draws exactly
+    the steps it runs: per step or per chunk, nothing is drawn until a
+    block is requested.
     """
     if config.channel == "classical":
         domain, a = streams.DOMAIN_CLASSICAL, config.delta_K / config.lattice.T
@@ -357,9 +359,10 @@ def _step_in_slices(step, block: np.ndarray, params=None) -> np.ndarray:
     the GIL, so slices step at the same time.  The block is cut into at
     most ``_slice_workers`` slices of at least ``_KICK_TILE_AMPS``
     amplitudes; the calling thread steps the first slice, a thread pool
-    the others, and each result is written back into ``block``, which is
-    returned.  A block too small for two such slices is stepped by one
-    plain call.
+    the others, and a result that is not the slice itself (the circuit
+    may return its spare block; the propagator steps in place) is
+    copied back into ``block``, which is returned.  A block too small
+    for two such slices is stepped by one plain call.
     """
     global _slice_pool
     rows = block.shape[0]
@@ -411,36 +414,43 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
     steps ``prop`` with a per-member kick detuning, the quantum
     channel runs the noisy gate circuit.  ``block`` may be overwritten.
 
-    The quantum channel draws the noise of S = min(steps left,
-    :func:`_chunk_steps`) steps at once, builds their factors in one
-    pass (:meth:`CircuitEngine.step_factors`) and applies them one step
-    at a time.  A static chunk is its one draw, whose factors serve
-    every step.  Where one step is over the budget (S = 0), each step
-    runs :meth:`CircuitEngine.step_noisy` in row slices.  A chunked
-    block holds at most 2^16 / N members, too few to slice.
+    Both channels draw the noise of S steps at once and apply it one
+    step at a time.  The classical channel draws S = min(steps left,
+    2^16 // members) detunings per member and steps ``prop`` in row
+    slices.  The quantum channel draws S = min(steps left,
+    :func:`_chunk_steps`) steps, builds their factors in one pass
+    (:meth:`CircuitEngine.step_factors`) and applies them with
+    :meth:`CircuitEngine.step_with`; a chunked block holds at most
+    2^16 / N members, too few to slice.  Where one gate step is over
+    the budget (S = 0), each step runs :meth:`CircuitEngine.step_noisy`
+    in row slices.  A static branch is one chunk of its one draw, which
+    serves every step.
     """
     if config.channel == "classical":
-        step, shape = prop.step, ()
+        shape, chunk = (), max(1, _KICK_TILE_AMPS // len(members))
+        build = np.asarray  # a kick step's factors are its detunings
+
+        def step_with(block, detunings, t):
+            return _step_in_slices(prop.step, block, detunings[t])
     else:
         engine = CircuitEngine(build_sawtooth_circuit(config.lattice))
-        step = engine.step_noisy
         shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
         chunk = _chunk_steps(engine, len(members))
-        if chunk:
-            if config.regime == "static":
-                chunk = max(steps, 1)
-            sizes = [min(chunk, steps - t) for t in range(0, steps, chunk)]
-            for size, params in zip(sizes, noise_blocks(config, members,
-                                                         shape, sizes)):
-                factors = engine.step_factors(params)
-                for t in range(size):  # a static chunk has one step
-                    block = engine.step_with(block, factors, t % len(params))
-                    yield block
-                del factors, params  # not held while the next is built
+        build, step_with = engine.step_factors, engine.step_with
+        if not chunk:
+            for params in islice(noise_blocks(config, members, shape), steps):
+                block = _step_in_slices(engine.step_noisy, block, params)
+                yield block
             return
-    for params in islice(noise_blocks(config, members, shape), steps):
-        block = _step_in_slices(step, block, params)
-        yield block
+    if config.regime == "static":
+        chunk = max(steps, 1)
+    sizes = [min(chunk, steps - t) for t in range(0, steps, chunk)]
+    for size, params in zip(sizes, noise_blocks(config, members, shape, sizes)):
+        factors = build(params)
+        for t in range(size):  # a static chunk has one step
+            block = step_with(block, factors, t % len(params))
+            yield block
+        del factors, params  # not held while the next is built
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +458,23 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # ---------------------------------------------------------------------------
 
 # (members, N) blocks live at the peak of fidelity_curve, plus a few
-# (N,) rows however many members there are.  tracemalloc peaks in
-# blocks at n_q = 12, stepped whole and in two row slices: 4.07 and
-# 4.11 for gate noise with 10 states x 5 draws, 3.27 and 3.27 for kick
-# noise with 50 x 4, and up to 5.0 for either channel with one draw per
-# state, where the ideal branch and its step temporaries are as large
-# as the perturbed block.  The perturbed block, the spare block the
-# circuit's dense passes write into and the half-size phase or kick
-# tables make up the rest; two slices hold half-size temporaries each.
-# One member peaks at 9.2 rows (gate noise, n_q = 12) and at 7.0 from
-# n_q = 16 on, where the propagator's two phase tables are most of the
-# fixed rows.  scattering_fidelity builds one state and echoes one
-# member, so it holds a one-member curve's rows whichever member it
+# (N,) rows however many members there are.  tracemalloc peaks in blocks
+# at n_q = 12, stepped whole and in two row slices: 3.79 and 3.81 for
+# gate noise with 10 states x 5 draws, and 4.57 and 4.61 with one draw
+# for each of 50 states, where the ideal branch is as large as the
+# perturbed block.  The perturbed block, the spare block the circuit's
+# dense passes write into and the half-size phase tables make up the
+# rest; two slices hold half-size temporaries each.  Kick noise steps
+# both branches in place, one 2^16-amplitude tile at a time, so it holds
+# 1.59 and 1.54 blocks with 50 x 4 and 3.06 with 50 x 1: the two
+# branches and the conjugated ideal rows of the overlap.  One member
+# peaks at 6.35 rows (kick) at n_q = 12 and at 5.5 (kick) and 6.3
+# (gate) at n_q = 16, where the propagator's two phase tables are most
+# of the fixed rows.  scattering_fidelity builds one state and echoes
+# one member, so it holds a one-member curve's rows whichever member it
 # echoes: at n_q = 16 a first call peaks at 7.96 rows (gate) and 7.88
-# (kick), later calls at 7.05 for the first or a later state.  These
+# (kick), later calls at 7.05 for the first or a later state.  The
+# guard's 6 blocks follow the gate channel, the largest at 4.6.  These
 # are step-by-step peaks.  A gate branch that builds a chunk of steps at
 # once (_chunk_steps) holds at most 2^16 phase-table entries (1 MB) and
 # 2^16 noise parameters for it, and only where one step's fit, so only

@@ -59,10 +59,11 @@ def step_exact(amps: np.ndarray, lattice: LatticeParams,
     return np.fft.fft(signs * kicked) / math.sqrt(N) * rotation
 
 
-# amplitudes per kick tile: a 1 MB table, 16 members at n_q = 12, fits
-# in one core's L2 cache where a table for a whole 200-member block
-# would add 13 MB to the memory of a step; at small n_q one tile holds
-# many members, so the fixed cost of building a table is paid rarely
+# amplitudes per row tile of a step: 16 members at n_q = 12, 1 MB, so
+# a tile's two FFTs, its kick table and its phase multiplies all run in
+# one core's L2 cache, and a step reads and writes its block once; at
+# small n_q one tile holds many members, so the fixed cost of building
+# a kick table is paid rarely
 _KICK_TILE_AMPS = 1 << 16
 
 
@@ -84,13 +85,16 @@ class BatchPropagator:
     doubling over the bits of h, starting from the column term, and
     then multiplied by the row term, so a member's table costs
     H + S + S log2(H) exponentials (512 at n_q = 12, where N = 4096)
-    and each entry is a product of at most log2(H) + 2 of them.  Tables
-    are built and applied for tiles of 2^16 amplitudes, and every
-    operation on them is elementwise, so a member's row does not depend
-    on its tile or its block.  The noiseless ``kick_phase`` is built by
-    the same code at s = k: a member whose detuning is zero then gets
-    the noiseless kick bit for bit, which keeps a zero-amplitude noisy
-    branch identical to the noiseless one.
+    and each entry is a product of at most log2(H) + 2 of them.
+
+    A step runs tile by tile over rows of 2^16 amplitudes in all: each
+    tile goes through ifft, kick, fft and rotation in place while it
+    stays in cache.  The FFTs act per row and every other operation,
+    the table builds included, is elementwise, so a member's row does
+    not depend on its tile or its block.  The noiseless ``kick_phase``
+    is built by the same code at s = k: a member whose detuning is zero
+    then gets the noiseless kick bit for bit, which keeps a
+    zero-amplitude noisy branch identical to the noiseless one.
     """
 
     def __init__(self, lattice: LatticeParams):
@@ -133,38 +137,61 @@ class BatchPropagator:
         table *= e[:, :H].T[:, :, None]
         return table
 
-    def _kick(self, work: np.ndarray, delta_k) -> None:
-        """Multiply angle-basis rows by their kick phases, in place."""
-        m = work.shape[0]
+    def _kick(self, work: np.ndarray, strength: np.ndarray) -> None:
+        """Multiply a tile's angle-basis rows by their kick phases, in place."""
         H, S = self._kick_shape
-        strength = self.lattice.k + np.asarray(delta_k, float).reshape(-1)
-        if len(strength) != m:
-            raise ValueError(f"{len(strength)} detunings for {m} members")
+        view = work.reshape(-1, H, S)
+        view *= self._kick_table(strength).transpose(1, 0, 2)
+
+    def _tiles(self, amps: np.ndarray) -> list:
+        """Row slices of the tiles of a (members, N) block.
+
+        Anything but a C-contiguous complex (members, N) array is refused
+        with ValueError, since a step writes into its tiles as views.
+        """
+        N = self.lattice.N
+        if not (isinstance(amps, np.ndarray) and amps.ndim == 2
+                and amps.shape[1] == N and amps.dtype == complex
+                and amps.flags.c_contiguous):
+            raise ValueError(
+                f"amps must be a C-contiguous complex (members, {N}) array, "
+                f"not {getattr(amps, 'dtype', type(amps).__name__)} of shape "
+                f"{np.shape(amps)}")
         tile = self._kick_tile
-        for i in range(0, m, tile):
-            table = self._kick_table(strength[i:i + tile])
-            view = work[i:i + tile].reshape(-1, H, S)
-            view *= table.transpose(1, 0, 2)
+        return [slice(i, i + tile) for i in range(0, len(amps), tile)]
 
     def step(self, amps: np.ndarray, delta_k=None) -> np.ndarray:
-        """Advance a (members, N) block one map step.
+        """Advance a (members, N) block one map step; returns ``amps``.
 
-        delta_k is None (noiseless) or a length-members vector of kick
+        ``amps`` may be overwritten: the step runs in place.  delta_k is
+        None (noiseless) or a length-members vector of kick
         perturbations, one per ensemble member; any other length is
-        refused with ValueError.
+        refused with ValueError, before ``amps`` is touched.
         """
-        work = np.fft.ifft(amps, axis=-1)
-        if delta_k is None:
-            work *= self.kick_phase
-        else:
-            self._kick(work, delta_k)
-        work = np.fft.fft(work, axis=-1)
-        work *= self.rot_phase
-        return work
+        tiles = self._tiles(amps)
+        if delta_k is not None:
+            strength = self.lattice.k + np.asarray(delta_k, float).reshape(-1)
+            if len(strength) != len(amps):
+                raise ValueError(
+                    f"{len(strength)} detunings for {len(amps)} members")
+        for rows in tiles:
+            work = amps[rows]
+            np.fft.ifft(work, axis=-1, out=work)
+            if delta_k is None:
+                work *= self.kick_phase
+            else:
+                self._kick(work, strength[rows])
+            np.fft.fft(work, axis=-1, out=work)
+            work *= self.rot_phase
+        return amps
 
     def step_inverse(self, amps: np.ndarray) -> np.ndarray:
-        """Inverse of the noiseless :meth:`step`."""
-        work = amps * self.rot_phase.conj()
-        work = np.fft.ifft(work, axis=-1)
-        work *= self.kick_phase.conj()
-        return np.fft.fft(work, axis=-1)
+        """Inverse of the noiseless :meth:`step`, in place; returns ``amps``."""
+        rot, kick = self.rot_phase.conj(), self.kick_phase.conj()
+        for rows in self._tiles(amps):
+            work = amps[rows]
+            work *= rot
+            np.fft.ifft(work, axis=-1, out=work)
+            work *= kick
+            np.fft.fft(work, axis=-1, out=work)
+        return amps

@@ -959,24 +959,25 @@ def chunk_sizes(monkeypatch):
     return sizes
 
 
-def counted_gate_draws(monkeypatch):
-    """Uniforms drawn from each member's gate-noise stream, by member."""
+def recorded_draws(monkeypatch, domain):
+    """Uniforms drawn from each member's stream in ``domain``, by member."""
     drawn = {}
     stream = streams.stream
 
-    class Counted:
+    class Recorded:
         def __init__(self, rng, member):
             self.rng, self.member = rng, member
 
         def uniform(self, low, high, size):
-            drawn[self.member] = drawn.get(self.member, 0) + int(np.prod(size))
-            return self.rng.uniform(low, high, size)
+            out = self.rng.uniform(low, high, size)
+            drawn.setdefault(self.member, []).append(np.ravel(out))
+            return out
 
-    def counted(master_seed, *path):
+    def recorded(master_seed, *path):
         rng = stream(master_seed, *path)
-        return Counted(rng, path[1]) if path[0] == streams.DOMAIN_GATE else rng
+        return Recorded(rng, path[1]) if path[0] == domain else rng
 
-    monkeypatch.setattr(streams, "stream", counted)
+    monkeypatch.setattr(streams, "stream", recorded)
     return drawn
 
 
@@ -1051,7 +1052,7 @@ class TestStepChunks:
         assert S == 20
         if forced:
             monkeypatch.setattr(ex, "_chunk_steps", lambda engine, members: 0)
-        drawn = counted_gate_draws(monkeypatch)
+        drawn = recorded_draws(monkeypatch, streams.DOMAIN_GATE)
         start = np.repeat(ex._initial_block(memoryless, [0]), 7, axis=0)
         for regime, steps in product(("memoryless", "static"),
                                      (0, 1, S - 1, S, S + 1)):
@@ -1062,7 +1063,8 @@ class TestStepChunks:
                 range(7), steps))
             assert yielded == steps
             once = steps if regime == "memoryless" else min(steps, 1)
-            assert drawn == {m: once * per_step for m in range(7) if once}
+            assert {m: sum(map(len, d)) for m, d in drawn.items()} == {
+                m: once * per_step for m in range(7) if once}
 
     def test_chunked_draw_equals_per_step_draws(self):
         # the gate-domain twin of the kick detunings' bulk draw: chunks of
@@ -1085,6 +1087,61 @@ class TestStepChunks:
                                       members, shape, [4, 3]))
         assert static[0] is static[1] and static[0].shape == (1, 3, *shape)
         assert np.array_equal(static[0][0], per_step[0])
+
+
+def kick_chunk_config(regime="memoryless", members=7, steps=11):
+    """Kick noise on ``members`` draws of one random state."""
+    return ExperimentConfig(lattice=LatticeParams(n_q=6, K=0.3),
+                            channel="classical", delta_K=0.05, regime=regime,
+                            initial="random", t_max=steps, n_noise=members,
+                            master_seed=8)
+
+
+class TestKickChunks:
+    """Kick detunings drawn a chunk of steps at a time, against step by step."""
+
+    def test_chunked_detunings_equal_per_step_draws(self, monkeypatch):
+        # S = 2^16 // members steps per chunk, here forced to 5; at 0, 1,
+        # S - 1, S and S + 1 steps each member draws, chunked, the
+        # uniforms it draws step by step (one draw in the static regime),
+        # and every yielded block equals the per-step evolution
+        members, S = 7, 5
+        monkeypatch.setattr(ex, "_KICK_TILE_AMPS", S * members)
+        drawn = recorded_draws(monkeypatch, streams.DOMAIN_CLASSICAL)
+        for regime, steps in product(("memoryless", "static"),
+                                     (0, 1, S - 1, S, S + 1)):
+            config = kick_chunk_config(regime, members, max(steps, 1))
+            prop = BatchPropagator(config.lattice)
+            start = np.repeat(ex._initial_block(config, [0]), members, axis=0)
+            drawn.clear()
+            chunked = [b.copy() for b in ex.perturbed_branch(
+                config, prop, start.copy(), range(members), steps)]
+            got = {m: np.concatenate(v) for m, v in drawn.items()}
+
+            drawn.clear()
+            per_step = ex.noise_blocks(config, range(members), ())
+            block = start.copy()
+            assert len(chunked) == steps
+            for pert in chunked:
+                block = prop.step(block, next(per_step))
+                assert np.array_equal(pert, block)
+            want = {m: np.concatenate(v) for m, v in drawn.items()}
+            once = steps if regime == "memoryless" else min(steps, 1)
+            assert sorted(got) == sorted(want) == (
+                list(range(members)) if once else [])
+            for m in want:
+                assert len(got[m]) == once
+                assert np.array_equal(got[m], want[m])
+
+    @pytest.mark.parametrize("regime", ["memoryless", "static"])
+    def test_curve_equals_one_step_chunks(self, monkeypatch, regime):
+        # 12 members draw all 40 steps in one chunk, or (forced) one
+        # step per chunk
+        config = replace(kick_chunk_config(regime, 4, 40), n_states=3,
+                         initial="gaussian", theta0=None)
+        chunked = fidelity_curve(config).member_f
+        monkeypatch.setattr(ex, "_KICK_TILE_AMPS", config.n_members)
+        assert np.array_equal(fidelity_curve(config).member_f, chunked)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sawtoothsim.experiments as ex
 from sawtoothsim import streams
 from sawtoothsim.classical import step_array
 from sawtoothsim.experiments import ExperimentConfig, noise_blocks, perturbed_branch
@@ -58,7 +59,7 @@ def test_kick_preserves_moduli():
     lat = LatticeParams(n_q=6, K=0.4)
     prop = BatchPropagator(lat)
     amps = block(lat, seed=2)
-    out = kick(prop, amps, 3.7)
+    out = kick(prop, amps.copy(), 3.7)
     assert np.allclose(np.abs(np.fft.ifft(out)), np.abs(np.fft.ifft(amps)),
                        atol=1e-14)
     assert not np.allclose(out, amps)
@@ -68,7 +69,7 @@ def test_kick_inverse_round_trip():
     lat = LatticeParams(n_q=6, K=0.4)
     prop = BatchPropagator(lat)
     amps = block(lat, seed=3)
-    out = kick(prop, kick(prop, amps, lat.k), -lat.k)
+    out = kick(prop, kick(prop, amps.copy(), lat.k), -lat.k)
     assert np.max(np.abs(out - amps)) < 1e-12
 
 
@@ -77,8 +78,8 @@ def test_kick_composition():
     prop = BatchPropagator(lat)
     amps = block(lat, seed=4)
     a, b = 1.3, -0.45
-    two = kick(prop, kick(prop, amps, a), b)
-    one = kick(prop, amps, a + b)
+    two = kick(prop, kick(prop, amps.copy(), a), b)
+    one = kick(prop, amps.copy(), a + b)
     assert np.max(np.abs(two - one)) < 1e-12
 
 
@@ -96,7 +97,7 @@ def test_rotation_inverse_round_trip():
     lat = LatticeParams(n_q=6, K=0.4)
     prop = BatchPropagator(lat)
     amps = block(lat, seed=6)
-    rotated = prop.step(amps, np.array([-lat.k]))
+    rotated = prop.step(amps.copy(), np.array([-lat.k]))
     assert not np.allclose(rotated, amps)
     assert np.max(np.abs(rotated - amps * prop.rot_phase)) < 1e-12
 
@@ -215,7 +216,7 @@ def test_time_reversal():
     lat = LatticeParams(n_q=8, K=0.3)
     prop = BatchPropagator(lat)
     amps = block(lat, seed=11)
-    forward = amps
+    forward = amps.copy()
     for _ in range(50):
         forward = prop.step(forward)
     back = forward
@@ -272,7 +273,7 @@ def test_kick_table_matches_exact_step(n_q, K, members, seed, data):
     bound = 2.0 * abs(lat.k)
     dk = np.array(data.draw(st.lists(st.floats(-bound, bound),
                                      min_size=members, max_size=members)))
-    out = prop.step(amps, dk)
+    out = prop.step(amps.copy(), dk)
     for m in range(members):
         single = step_exact(amps[m], lat, dk[m])
         assert np.max(np.abs(out[m] - single)) <= 1e-12
@@ -286,9 +287,9 @@ def test_member_rows_independent_of_block_size(n_q):
     prop = BatchPropagator(lat)
     amps = block(lat, seed=20, members=40)
     dk = np.random.default_rng(n_q).uniform(-2.0, 2.0, 40) * lat.k
-    forward = prop.step(amps, dk)
+    forward = prop.step(amps.copy(), dk)
     for m in range(40):
-        one = amps[m:m + 1], dk[m:m + 1]
+        one = amps[m:m + 1].copy(), dk[m:m + 1]
         assert np.array_equal(forward[m], prop.step(*one)[0])
 
 
@@ -302,6 +303,53 @@ def test_one_detuning_per_member_required():
         with pytest.raises(ValueError, match="detunings for 40 members"):
             prop.step(amps, bad)
     prop.step(amps, np.full(40, 0.3))
+
+
+@pytest.mark.parametrize("n_q, members", [
+    (12, 1), (12, 15), (12, 16), (12, 17), (12, 35),  # 16-row tiles
+    (16, 1),  # a one-row tile
+])
+def test_tiled_step_equals_rows_stepped_alone(monkeypatch, n_q, members):
+    # a step walks its block in tiles of 2^16 amplitudes; each row,
+    # with and without detunings, is the step of that row alone, bit
+    # for bit, and row slices on two threads equal one call
+    lat = LatticeParams(n_q=n_q, K=0.7)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=30, members=members)
+    dk = np.random.default_rng(members).uniform(-1.0, 1.0, members) * lat.k
+    monkeypatch.setattr(ex, "_slice_workers", 2)
+    for delta in (None, dk):
+        out = prop.step(amps.copy(), delta)
+        for m in range(members):
+            alone = prop.step(amps[m:m + 1].copy(),
+                              None if delta is None else delta[m:m + 1])
+            assert np.array_equal(out[m], alone[0])
+            exact = step_exact(amps[m], lat, 0.0 if delta is None else delta[m])
+            assert np.max(np.abs(out[m] - exact)) <= 1e-12
+        sliced = ex._step_in_slices(prop.step, amps.copy(), delta)
+        assert np.array_equal(sliced, out)
+
+
+def test_step_works_in_place_and_refuses_other_blocks():
+    lat = LatticeParams(n_q=6, K=0.3)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=31, members=3)
+    wide = np.concatenate([amps, amps], axis=1)
+    for bad in (amps[0], amps[:, :-1], wide, wide[:, ::2], amps.real.copy(),
+                np.asfortranarray(amps), amps.tolist()):
+        for step in (prop.step, prop.step_inverse):
+            with pytest.raises(ValueError, match="C-contiguous complex"):
+                step(bad)
+    # a refused detuning vector leaves the block as it was
+    kept = amps.copy()
+    with pytest.raises(ValueError, match="2 detunings for 3 members"):
+        prop.step(amps, np.zeros(2))
+    assert np.array_equal(amps, kept)
+    # the block is stepped in place and returned
+    assert prop.step(amps, np.zeros(3)) is amps
+    assert not np.allclose(amps, kept)
+    assert prop.step_inverse(amps) is amps
+    assert np.max(np.abs(amps - kept)) < 1e-12
 
 
 def test_batch_inverse_round_trip():
