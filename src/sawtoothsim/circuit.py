@@ -495,7 +495,9 @@ class CircuitEngine:
     factors of several steps as one block of steps x members rows, and
     :meth:`step_with` applies one step of them bit for bit as
     :meth:`step_noisy` would; ``table_entries`` counts the phase-table
-    entries of one member's step.
+    entries of one member's step.  The compiled arrays are read-only,
+    and a step writes only into its own blocks, so one engine can serve
+    every caller on its lattice.
     """
 
     def __init__(self, program: CircuitProgram):
@@ -536,7 +538,7 @@ class CircuitEngine:
             (shape[0], [(kind, a, _stacked(index))
                         for (kind, a), index in zip(shape[1:], zip(*groups))])
             for shape, (_, groups) in batches.items()]
-        self._hadamards = np.array(hadamards, dtype=np.intp)
+        self._hadamards = _frozen(np.array(hadamards, dtype=np.intp))
 
         self._scale = None
         if slots.angles:
@@ -544,10 +546,11 @@ class CircuitEngine:
         elif program.phase_offset != 0.0:
             self._scale = complex(np.exp(1j * program.phase_offset))
         # one gather and one per-slot reduction compute every coefficient
-        self._angles = np.array(slots.angles)
-        self._terms = np.array([i for terms in slots.terms for i in terms],
-                               dtype=np.intp)
-        self._starts = np.cumsum([0] + [len(t) for t in slots.terms[:-1]])
+        self._angles = _frozen(np.array(slots.angles))
+        self._terms = _frozen(np.array(
+            [i for terms in slots.terms for i in terms], dtype=np.intp))
+        self._starts = _frozen(np.cumsum([0] + [len(t) for t in
+                                                slots.terms[:-1]]))
         # phase-table entries per member and step
         self.table_entries = sum(_run_entries(b) for kind, _, b, _
                                  in self.segments if kind == "d")
@@ -654,6 +657,12 @@ class CircuitEngine:
         return amps
 
 
+def _frozen(array):
+    """``array``, made read-only: an engine may be shared between callers."""
+    array.flags.writeable = False
+    return array
+
+
 def _stacked(items):
     """Same-shaped nested indices of several groups as (groups,) arrays.
 
@@ -663,7 +672,7 @@ def _stacked(items):
         return None
     if isinstance(items[0], (tuple, list)):
         return [_stacked(parts) for parts in zip(*items)]
-    return np.array(items)
+    return _frozen(np.array(items))
 
 
 def circuit_deviation(lattice: LatticeParams, n_states: int = 20,

@@ -28,14 +28,17 @@ order or the number of cores: a large block is stepped in row slices
 on a few threads (:func:`_step_in_slices`), and a member's row does not
 depend on which rows share its slice.  The perturbed branch pays
 numpy's fixed costs per chunk of steps: it draws S steps per member in
-one call, S = min(steps left, 2^16 // members) for kick noise.  On
-small blocks the gate channel also builds the circuit factors of its
-chunk in one pass over S * members rows, S = min(steps left, 2^16 //
-(members * the larger of a step's phase-table entries and its noise
-parameters)) (:func:`_chunk_steps`), then applies them step by step,
-bit for bit the per-step result.  A gate block for which S = 0 (from
-31 members at n_q = 9, 14 at n_q = 10 and 4 at n_q = 12) steps one
-step at a time.
+one call, S = min(steps left, 2^16 // members) for a kick block of more
+than 2^16 amplitudes.  On small blocks both channels also build the
+factors of their chunk in one pass over S * members rows, then apply
+them step by step, bit for bit the per-step result: the kick channel
+its kick tables, S = min(steps left, 2^16 // (members * N)), and the
+gate channel its circuit factors, S = min(steps left, 2^16 // (members
+* the larger of a step's phase-table entries and its noise
+parameters)) (:func:`_chunk_steps`).  A gate block for which S = 0
+(from 31 members at n_q = 9, 14 at n_q = 10 and 4 at n_q = 12) steps
+one step at a time.  The gate program of a lattice is compiled once
+(:func:`_engine`) and serves every curve and echo on it.
 
 Decay models are fitted on -log f: linear in t (exponential decay,
 rate Gamma) or linear in t^2 (Gaussian decay, rate 1/tau^2), by least
@@ -49,7 +52,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, product
 
 import numpy as np
@@ -288,7 +291,10 @@ def noise_blocks(config: ExperimentConfig, members, shape: tuple,
     count.  :func:`perturbed_branch` asks for chunks of S = min(steps
     left, its chunk size) steps in both channels, so it draws exactly
     the steps it runs: per step or per chunk, nothing is drawn until a
-    block is requested.
+    block is requested.  The chunk size is 2^16 // (members * N) for a
+    kick block of at most 2^16 amplitudes, whose chunk's kick tables
+    are then built at once, and 2^16 // members for a larger one;
+    :func:`_chunk_steps` gives the gate channel's.
     """
     if config.channel == "classical":
         domain, a = streams.DOMAIN_CLASSICAL, config.delta_K / config.lattice.T
@@ -354,15 +360,16 @@ def _step_in_slices(step, block: np.ndarray, params=None) -> np.ndarray:
     """``step(block, params)``, run as contiguous row slices on threads.
 
     ``step`` advances each row of the (members, N) ``block`` under the
-    same row of ``params`` and may overwrite its input.  Rows do not
-    depend on each other, and numpy's FFTs and matrix products release
-    the GIL, so slices step at the same time.  The block is cut into at
-    most ``_slice_workers`` slices of at least ``_KICK_TILE_AMPS``
-    amplitudes; the calling thread steps the first slice, a thread pool
-    the others, and a result that is not the slice itself (the circuit
-    may return its spare block; the propagator steps in place) is
-    copied back into ``block``, which is returned.  A block too small
-    for two such slices is stepped by one plain call.
+    same row of ``params`` and may overwrite its input; ``params`` is
+    None, an array or a tuple of arrays, each cut into the slice's rows.
+    Rows do not depend on each other, and numpy's FFTs and matrix
+    products release the GIL, so slices step at the same time.  The
+    block is cut into at most ``_slice_workers`` slices of at least
+    ``_KICK_TILE_AMPS`` amplitudes; the calling thread steps the first
+    slice, a thread pool the others, and a result that is not the slice
+    itself (the circuit may return its spare block; the propagator steps
+    in place) is copied back into ``block``, which is returned.  A block
+    too small for two such slices is stepped by one plain call.
     """
     global _slice_pool
     rows = block.shape[0]
@@ -372,7 +379,11 @@ def _step_in_slices(step, block: np.ndarray, params=None) -> np.ndarray:
 
     def run(lo, hi):
         view = block[lo:hi]
-        out = step(view, None if params is None else params[lo:hi])
+        if isinstance(params, tuple):
+            part = tuple(p[lo:hi] for p in params)
+        else:
+            part = None if params is None else params[lo:hi]
+        out = step(view, part)
         if out is not view:
             view[...] = out
 
@@ -389,6 +400,20 @@ def _step_in_slices(step, block: np.ndarray, params=None) -> np.ndarray:
     for future in futures:
         future.result()  # raises a slice's exception
     return block
+
+
+@lru_cache(maxsize=8)
+def _engine(lattice: LatticeParams) -> CircuitEngine:
+    """The compiled gate program of ``lattice``, built once per lattice.
+
+    Curves, echoes and sweep points on one lattice share the engine,
+    whose arrays are read-only.  The sweeps revisit at most five
+    lattices (criteria 05 and 09, the ``rate-vs-k`` defaults, the
+    ``tf-scan`` examples), and an engine and its program hold about
+    23 KB at n_q = 4, 122 KB at 12 and 323 KB at 20, so eight lattices
+    are kept.
+    """
+    return CircuitEngine(build_sawtooth_circuit(lattice))
 
 
 def _chunk_steps(engine: CircuitEngine, members: int) -> int:
@@ -415,25 +440,36 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
     channel runs the noisy gate circuit.  ``block`` may be overwritten.
 
     Both channels draw the noise of S steps at once and apply it one
-    step at a time.  The classical channel draws S = min(steps left,
-    2^16 // members) detunings per member and steps ``prop`` in row
-    slices.  The quantum channel draws S = min(steps left,
-    :func:`_chunk_steps`) steps, builds their factors in one pass
+    step at a time.  Where members * N <= ``_KICK_TILE_AMPS`` (2^16),
+    the classical channel draws S = min(steps left, 2^16 // (members *
+    N)) detunings per member, builds their kick tables in one call
+    (:meth:`BatchPropagator.step_factors`, at most 2^16 entries) and
+    applies them with :meth:`BatchPropagator.step_with`.  A larger
+    block (S = 0 there) draws S = min(steps left, 2^16 // members)
+    detunings per member and steps ``prop`` in row slices, each tile
+    building its own tables.  The quantum channel runs the lattice's
+    one compiled engine (:func:`_engine`).  It draws S = min(steps
+    left, :func:`_chunk_steps`) steps, builds their factors in one pass
     (:meth:`CircuitEngine.step_factors`) and applies them with
-    :meth:`CircuitEngine.step_with`; a chunked block holds at most
-    2^16 / N members, too few to slice.  Where one gate step is over
-    the budget (S = 0), each step runs :meth:`CircuitEngine.step_noisy`
-    in row slices.  A static branch is one chunk of its one draw, which
-    serves every step.
+    :meth:`CircuitEngine.step_with`.  Where one gate step is over the
+    budget (S = 0), each step runs :meth:`CircuitEngine.step_noisy` in
+    row slices.  A chunked block of either channel holds at most 2^16 /
+    N members, too few to slice.  A static branch is one chunk of its
+    one draw, which serves every step.  The budget is read from this
+    module's ``_KICK_TILE_AMPS`` at each call.
     """
     if config.channel == "classical":
-        shape, chunk = (), max(1, _KICK_TILE_AMPS // len(members))
-        build = np.asarray  # a kick step's factors are its detunings
+        shape = ()
+        chunk = _KICK_TILE_AMPS // (len(members) * config.lattice.N)
+        build, step_with = prop.step_factors, prop.step_with
+        if not chunk:
+            chunk = max(1, _KICK_TILE_AMPS // len(members))
+            build = np.asarray  # a kick step's factors are its detunings
 
-        def step_with(block, detunings, t):
-            return _step_in_slices(prop.step, block, detunings[t])
+            def step_with(block, detunings, t):
+                return _step_in_slices(prop.step, block, detunings[t])
     else:
-        engine = CircuitEngine(build_sawtooth_circuit(config.lattice))
+        engine = _engine(config.lattice)
         shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
         chunk = _chunk_steps(engine, len(members))
         build, step_with = engine.step_factors, engine.step_with
@@ -458,30 +494,35 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # ---------------------------------------------------------------------------
 
 # (members, N) blocks live at the peak of fidelity_curve, plus a few
-# (N,) rows however many members there are.  tracemalloc peaks in blocks
-# at n_q = 12, stepped whole and in two row slices: 3.79 and 3.81 for
-# gate noise with 10 states x 5 draws, and 4.57 and 4.61 with one draw
-# for each of 50 states, where the ideal branch is as large as the
-# perturbed block.  The perturbed block, the spare block the circuit's
-# dense passes write into and the half-size phase tables make up the
-# rest; two slices hold half-size temporaries each.  Kick noise steps
-# both branches in place, one 2^16-amplitude tile at a time, so it holds
-# 1.59 and 1.54 blocks with 50 x 4 and 3.06 with 50 x 1: the two
-# branches and the conjugated ideal rows of the overlap.  One member
-# peaks at 6.35 rows (kick) at n_q = 12 and at 5.5 (kick) and 6.3
-# (gate) at n_q = 16, where the propagator's two phase tables are most
-# of the fixed rows.  scattering_fidelity builds one state and echoes
-# one member, so it holds a one-member curve's rows whichever member it
-# echoes: at n_q = 16 a first call peaks at 7.96 rows (gate) and 7.88
-# (kick), later calls at 7.05 for the first or a later state.  The
-# guard's 6 blocks follow the gate channel, the largest at 4.6.  These
-# are step-by-step peaks.  A gate branch that builds a chunk of steps at
-# once (_chunk_steps) holds at most 2^16 phase-table entries (1 MB) and
-# 2^16 noise parameters for it, and only where one step's fit, so only
-# for blocks of at most 2^16 amplitudes: tracemalloc put such a curve's
-# peak, besides its member_f, at 3.1 MB or less (n_q 1 to 13, 1 to 50
-# members), which is 22 rows for one member at n_q = 12 and 12 at
-# n_q = 13.  From n_q = 14 on one step of one member is over the budget.
+# (N,) rows however many members there are.  tracemalloc peaks besides
+# member_f, in blocks at n_q = 12, stepped whole and in two row slices,
+# with the gate program already compiled: 3.74 and 3.78 for gate noise
+# with 10 states x 5 draws, and 4.54 and 4.58 with one draw for each of
+# 50 states, where the ideal branch is as large as the perturbed block.
+# The perturbed block, the spare block the circuit's dense passes write
+# into and the half-size phase tables make up the rest; two slices hold
+# half-size temporaries each.  Kick noise steps both branches in place,
+# one 2^16-amplitude tile at a time, and each slice takes its overlaps a
+# tile of ideal rows at a time, so it holds 1.37 and 1.48 blocks with
+# 50 x 4 and 2.46 and 2.86 with 50 x 1 (1.52 and 3.06 while the overlap
+# conjugated all ideal rows at once).  One member peaks at 7.04 rows at
+# n_q = 16 in either channel, where building the initial packet and the
+# propagator's two phase tables are most of the fixed rows.
+# scattering_fidelity builds one state and echoes one member, and drops
+# its propagator once the echo is done: at n_q = 16 a first call peaks
+# at 6.27 rows (gate, with the compile) and 6.04 (kick), later calls at
+# 6.09 and 6.04 for the first or a later state.  The guard's 6 blocks
+# follow the gate channel, the largest at 4.6.  These are step-by-step
+# peaks.  A branch that builds a chunk of steps at once does so only for
+# blocks of at most 2^16 amplitudes.  A gate chunk (_chunk_steps) holds
+# at most 2^16 phase-table entries (1 MB) and 2^16 noise parameters:
+# tracemalloc put such a curve's peak, besides its member_f, at 3.1 MB
+# or less (n_q 1 to 13, 1 to 50 members), which is 22 rows for one
+# member at n_q = 12 and 12 at n_q = 13; from n_q = 14 on one step of
+# one member is over that budget.  A kick chunk holds at most 2^16 table
+# entries (1 MB): one member peaks at 24 rows at n_q = 12, 14 at 13 and
+# 9.1 at 14 (1.5, 1.7 and 2.3 MB), and from n_q = 16 on a chunk is one
+# step, one row.
 _CURVE_LIVE_BLOCKS = 6
 _CURVE_FIXED_ROWS = 4
 
@@ -521,13 +562,27 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
                               range(n_members), config.t_max)
 
     # member s * n_noise + j starts from state s; the overlap reads each
-    # ideal row once for its n_noise members, with no gathered copy
+    # ideal row once for its n_noise members, with no gathered copy.  A
+    # slice of ideal rows steps and takes its members' overlaps in one
+    # job, so the overlaps run on the slice threads too, and conjugates
+    # at most 2^16 ideal amplitudes at a time, not the whole block
+    overlap = np.empty((config.n_states, config.n_noise), dtype=complex)
+
+    def step_ideal(rows, params):
+        pert, out = params
+        rows = prop.step(rows)
+        tile = max(1, _KICK_TILE_AMPS // rows.shape[1])
+        for i in range(0, len(rows), tile):
+            part = slice(i, i + tile)
+            np.einsum("sn,skn->sk", rows[part].conj(), pert[part],
+                      out=out[part])
+        return rows
+
     member_f = np.empty((n_members, config.t_max + 1))
     member_f[:, 0] = 1.0
     for t, pert in enumerate(branch, 1):
-        ideal = _step_in_slices(prop.step, ideal)
-        overlap = np.einsum("sn,skn->sk", ideal.conj(),
-                            pert.reshape(config.n_states, config.n_noise, -1))
+        ideal = _step_in_slices(step_ideal, ideal, (
+            pert.reshape(config.n_states, config.n_noise, -1), overlap))
         member_f[:, t] = np.abs(overlap.ravel()) ** 2
 
     np.clip(member_f, 0.0, 1.0, out=member_f)
@@ -908,6 +963,7 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
         pass
     for _ in range(t):
         branch = prop.step_inverse(branch)
+    del prop  # its phase tables are not held while the fidelity is read
 
     # joint (ancilla, system) state after the closing Hadamard:
     # a0 = (psi + echo psi)/2, a1 = (psi - echo psi)/2

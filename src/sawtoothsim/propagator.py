@@ -26,6 +26,7 @@ tested against.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,8 @@ def step_exact(amps: np.ndarray, lattice: LatticeParams,
 # a tile's two FFTs, its kick table and its phase multiplies all run in
 # one core's L2 cache, and a step reads and writes its block once; at
 # small n_q one tile holds many members, so the fixed cost of building
-# a kick table is paid rarely
+# a kick table is paid rarely; a block of one tile or less can build the
+# tables of several steps at once in this budget (step_factors)
 _KICK_TILE_AMPS = 1 << 16
 
 
@@ -95,6 +97,13 @@ class BatchPropagator:
     is built by the same code at s = k: a member whose detuning is zero
     then gets the noiseless kick bit for bit, which keeps a
     zero-amplitude noisy branch identical to the noiseless one.
+
+    :meth:`step` builds each tile's kick tables just before it applies
+    them.  On small blocks, where a step costs numpy dispatch rather
+    than arithmetic, :meth:`step_factors` builds the tables of several
+    steps in one call instead, and :meth:`step_with` applies one step
+    of them, bit for bit what :meth:`step` gives: the pair the gate
+    channel's :class:`~sawtoothsim.circuit.CircuitEngine` has.
     """
 
     def __init__(self, lattice: LatticeParams):
@@ -115,6 +124,14 @@ class BatchPropagator:
         self.kick_phase = self._kick_table(np.array([lattice.k])).reshape(N)
         n = momentum_values(lattice).astype(float)
         self.rot_phase = np.exp(-1j * lattice.T * n * n / 2.0)
+
+    @cached_property
+    def _inverse(self) -> tuple:
+        """The phases of :meth:`step_inverse`, conjugated once, on first use.
+
+        A curve never inverts a step, so it does not hold them.
+        """
+        return self.rot_phase.conj(), self.kick_phase.conj()
 
     def _kick_table(self, strength: np.ndarray) -> np.ndarray:
         """(H, members, S) kick phases for the kick strengths ``strength``.
@@ -137,12 +154,6 @@ class BatchPropagator:
         table *= e[:, :H].T[:, :, None]
         return table
 
-    def _kick(self, work: np.ndarray, strength: np.ndarray) -> None:
-        """Multiply a tile's angle-basis rows by their kick phases, in place."""
-        H, S = self._kick_shape
-        view = work.reshape(-1, H, S)
-        view *= self._kick_table(strength).transpose(1, 0, 2)
-
     def _tiles(self, amps: np.ndarray) -> list:
         """Row slices of the tiles of a (members, N) block.
 
@@ -160,34 +171,76 @@ class BatchPropagator:
         tile = self._kick_tile
         return [slice(i, i + tile) for i in range(0, len(amps), tile)]
 
+    def _advance(self, amps: np.ndarray, tables=None) -> np.ndarray:
+        """One step of ``amps``, in place, tile by tile; returns ``amps``.
+
+        ``tables(rows)`` gives the (H, rows, S) kick phases of a tile's
+        rows; without it every row gets the noiseless kick.
+        """
+        H, S = self._kick_shape
+        for rows in self._tiles(amps):
+            work = amps[rows]
+            np.fft.ifft(work, axis=-1, out=work)
+            if tables is None:
+                work *= self.kick_phase
+            else:
+                view = work.reshape(-1, H, S)
+                view *= tables(rows).transpose(1, 0, 2)
+            np.fft.fft(work, axis=-1, out=work)
+            work *= self.rot_phase
+        return amps
+
     def step(self, amps: np.ndarray, delta_k=None) -> np.ndarray:
         """Advance a (members, N) block one map step; returns ``amps``.
 
         ``amps`` may be overwritten: the step runs in place.  delta_k is
         None (noiseless) or a length-members vector of kick
         perturbations, one per ensemble member; any other length is
-        refused with ValueError, before ``amps`` is touched.
+        refused with ValueError, before ``amps`` is touched.  Each tile
+        builds its members' kick tables just before it applies them.
         """
-        tiles = self._tiles(amps)
-        if delta_k is not None:
-            strength = self.lattice.k + np.asarray(delta_k, float).reshape(-1)
-            if len(strength) != len(amps):
-                raise ValueError(
-                    f"{len(strength)} detunings for {len(amps)} members")
-        for rows in tiles:
-            work = amps[rows]
-            np.fft.ifft(work, axis=-1, out=work)
-            if delta_k is None:
-                work *= self.kick_phase
-            else:
-                self._kick(work, strength[rows])
-            np.fft.fft(work, axis=-1, out=work)
-            work *= self.rot_phase
-        return amps
+        if delta_k is None:
+            return self._advance(amps)
+        strength = self.lattice.k + np.asarray(delta_k, float).reshape(-1)
+        if len(strength) != len(amps):
+            raise ValueError(
+                f"{len(strength)} detunings for {len(amps)} members")
+        return self._advance(
+            amps, lambda rows: self._kick_table(strength[rows]))
+
+    def step_factors(self, delta_k: np.ndarray) -> np.ndarray:
+        """Kick tables of every step in ``delta_k``, built in one pass.
+
+        delta_k: (steps, members) kick perturbations.  The steps x
+        members strengths go through one :meth:`_kick_table` call, entry
+        by entry what :meth:`step` builds per tile, so the tables hold
+        steps * members * N entries.  Returns what :meth:`step_with`
+        takes.
+        """
+        delta_k = np.asarray(delta_k, float)
+        if delta_k.ndim != 2:
+            raise ValueError(f"delta_k has shape {delta_k.shape}, expected "
+                             f"(steps, members)")
+        H, S = self._kick_shape
+        table = self._kick_table(self.lattice.k + delta_k.reshape(-1))
+        return table.reshape(H, *delta_k.shape, S)
+
+    def step_with(self, amps: np.ndarray, tables: np.ndarray,
+                  step: int) -> np.ndarray:
+        """``amps`` advanced by step ``step`` of :meth:`step_factors`.
+
+        Bit for bit what :meth:`step` gives for that step's detunings;
+        ``amps`` may be overwritten and is returned.
+        """
+        table = tables[:, step]
+        if table.shape[1] != len(amps):
+            raise ValueError(
+                f"{table.shape[1]} detunings for {len(amps)} members")
+        return self._advance(amps, lambda rows: table[:, rows])
 
     def step_inverse(self, amps: np.ndarray) -> np.ndarray:
         """Inverse of the noiseless :meth:`step`, in place; returns ``amps``."""
-        rot, kick = self.rot_phase.conj(), self.kick_phase.conj()
+        rot, kick = self._inverse
         for rows in self._tiles(amps):
             work = amps[rows]
             work *= rot

@@ -1089,6 +1089,67 @@ class TestStepChunks:
         assert np.array_equal(static[0][0], per_step[0])
 
 
+def engine_arrays(value):
+    """Every numpy array an engine holds, through its lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in engine_arrays(item)]
+    if isinstance(value, CircuitEngine):
+        return engine_arrays(list(vars(value).values()))
+    return []
+
+
+class TestEngineCache:
+    """One compiled gate engine per lattice, shared by its callers."""
+
+    def test_one_compile_per_lattice(self, monkeypatch):
+        built = []
+        build = ex.build_sawtooth_circuit
+
+        def recorded(lattice):
+            built.append(lattice)
+            return build(lattice)
+
+        monkeypatch.setattr(ex, "build_sawtooth_circuit", recorded)
+        ex._engine.cache_clear()
+        config = chunk_config(5, members=3)
+        fidelity_curve(config)
+        fidelity_curve(replace(config, epsilon=0.05, master_seed=5))
+        scattering_fidelity(config, 4, member=2)
+        assert built == [config.lattice]
+        other = LatticeParams(n_q=5, K=0.4)
+        assert ex._engine(other) is not ex._engine(config.lattice)
+        assert ex._engine(LatticeParams(n_q=5, K=0.3)) is ex._engine(
+            config.lattice)
+        assert built == [config.lattice, other]
+
+    def test_cached_engine_is_read_only(self):
+        engine = ex._engine(LatticeParams(n_q=9, K=0.3))
+        arrays = engine_arrays(engine)
+        assert len(arrays) > 4
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    def test_cached_engine_equals_a_fresh_one(self):
+        # a curve through an engine that other curves have used equals
+        # the step of an engine built for it alone
+        config = chunk_config(7, members=3, steps=5)
+        engine = ex._engine(config.lattice)
+        fidelity_curve(replace(config, regime="static"))
+        cached = fidelity_curve(config).member_f
+        fresh = CircuitEngine(build_sawtooth_circuit(config.lattice))
+        params = np.random.default_rng(3).uniform(-0.03, 0.03, (
+            2, engine.program.noisy_gate_count, PARAMS_PER_GATE))
+        start = np.repeat(ex._initial_block(config, [0]), 2, axis=0)
+        assert np.array_equal(engine.step_noisy(start.copy(), params),
+                              fresh.step_noisy(start.copy(), params))
+        ex._engine.cache_clear()
+        assert np.array_equal(fidelity_curve(config).member_f, cached)
+        assert ex._engine(config.lattice) is not engine
+
+
 def kick_chunk_config(regime="memoryless", members=7, steps=11):
     """Kick noise on ``members`` draws of one random state."""
     return ExperimentConfig(lattice=LatticeParams(n_q=6, K=0.3),
@@ -1142,6 +1203,46 @@ class TestKickChunks:
         chunked = fidelity_curve(config).member_f
         monkeypatch.setattr(ex, "_KICK_TILE_AMPS", config.n_members)
         assert np.array_equal(fidelity_curve(config).member_f, chunked)
+
+    @pytest.mark.parametrize("n_q", range(1, 11))
+    def test_table_chunks_equal_per_step_path(self, monkeypatch, n_q):
+        # a block of at most 2^16 amplitudes builds the kick tables of a
+        # chunk of steps at once; with the budget forced to three steps,
+        # 11 steps run as 3 + 3 + 3 + 2 (a static branch builds its one
+        # table once), and every yielded block equals step on the
+        # per-step draws; member_f is the same on the per-tile path
+        sizes = []
+        build = BatchPropagator.step_factors
+
+        def recorded(self, delta_k):
+            sizes.append(len(delta_k))
+            return build(self, delta_k)
+
+        monkeypatch.setattr(BatchPropagator, "step_factors", recorded)
+        N = 1 << n_q
+        for members, regime in product((1, 3, 7), ("memoryless", "static")):
+            config = replace(kick_chunk_config(regime, members),
+                             lattice=LatticeParams(n_q=n_q, K=0.3))
+            prop = BatchPropagator(config.lattice)
+            start = np.repeat(ex._initial_block(config, [0]), members, axis=0)
+            monkeypatch.setattr(ex, "_KICK_TILE_AMPS", 3 * members * N)
+            sizes.clear()
+            chunked = [b.copy() for b in ex.perturbed_branch(
+                config, prop, start.copy(), range(members), 11)]
+            assert sizes == ([3, 3, 3, 2] if regime == "memoryless" else [1])
+
+            per_step = ex.noise_blocks(config, range(members), ())
+            block = start.copy()
+            assert len(chunked) == 11
+            for got in chunked:
+                block = prop.step(block, next(per_step))
+                assert np.array_equal(got, block)
+
+            tables = fidelity_curve(config).member_f
+            monkeypatch.setattr(ex, "_KICK_TILE_AMPS", members * N - 1)
+            sizes.clear()
+            assert np.array_equal(fidelity_curve(config).member_f, tables)
+            assert sizes == []
 
 
 # ---------------------------------------------------------------------------
@@ -1204,6 +1305,35 @@ class TestScatteringFidelity:
         for member in (-1, config.n_members):
             with pytest.raises(ValueError):
                 scattering_fidelity(config, 2, member=member)
+
+    # (channel, regime, n_q, analytic, sampled) at t = 9 for member 3
+    ECHO_VALUES = [
+        ("quantum", "memoryless", 5, 0.8055295416365974, 0.7891999999999998),
+        ("quantum", "memoryless", 7, 0.6314853842479897, 0.6122000000000001),
+        ("quantum", "static", 5, 0.7806076305480922, 0.7634120000000002),
+        ("quantum", "static", 7, 0.5494698050448553, 0.5364000000000001),
+        ("classical", "memoryless", 5, 0.6522869079796004, 0.6511699999999999),
+        ("classical", "memoryless", 7, 0.0022006565554552105,
+         0.0024050000000000044),
+        ("classical", "static", 5, 0.35406151641875344, 0.336373),
+        ("classical", "static", 7, 0.001185128933639487, 0.001664000000000003),
+    ]
+
+    @pytest.mark.parametrize("channel, regime, n_q, analytic, sampled",
+                             ECHO_VALUES)
+    def test_echo_values_frozen(self, channel, regime, n_q, analytic, sampled):
+        # values recorded before the engine was shared between calls and
+        # the one-member kick tables were built a chunk at a time
+        amplitude = {"epsilon": 0.03} if channel == "quantum" else {
+            "delta_K": 0.05}
+        config = ExperimentConfig(
+            lattice=LatticeParams(n_q=n_q, K=0.7), channel=channel,
+            regime=regime, t_max=9, n_states=2, n_noise=2, initial="random",
+            master_seed=31, **amplitude)
+        assert abs(scattering_fidelity(config, 9, member=3) - analytic) < 1e-12
+        got = scattering_fidelity(config, 9, mode="sampled", shots=2000,
+                                  member=3)
+        assert abs(got - sampled) < 1e-12
 
     @pytest.mark.parametrize("channel", ["quantum", "classical"])
     def test_memory_estimate_bounds_the_peak(self, monkeypatch, channel):

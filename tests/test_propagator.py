@@ -330,6 +330,31 @@ def test_tiled_step_equals_rows_stepped_alone(monkeypatch, n_q, members):
         assert np.array_equal(sliced, out)
 
 
+@pytest.mark.parametrize("n_q, members, steps", [
+    (1, 1, 5), (4, 3, 7), (7, 2, 4), (9, 1, 3),  # one tile
+    (12, 1, 3), (12, 20, 2),  # one tile, and two of 16 and 4 rows
+])
+def test_step_factors_equal_step(n_q, members, steps):
+    # tables built for several steps at once, each step applied with
+    # step_with, equal step at that step's detunings bit for bit
+    lat = LatticeParams(n_q=n_q, K=0.7)
+    prop = BatchPropagator(lat)
+    amps = block(lat, seed=32, members=members)
+    dk = np.random.default_rng(n_q).uniform(-1.0, 1.0, (steps, members))
+    tables = prop.step_factors(dk * lat.k)
+    assert tables.size == steps * members * lat.N
+    stepped, chunked = amps.copy(), amps.copy()
+    for t in range(steps):
+        stepped = prop.step(stepped, dk[t] * lat.k)
+        assert prop.step_with(chunked, tables, t) is chunked
+        assert np.array_equal(chunked, stepped)
+    with pytest.raises(ValueError, match="expected \\(steps, members\\)"):
+        prop.step_factors(dk[0])
+    with pytest.raises(ValueError, match=f"{members} detunings for "
+                                         f"{members + 1} members"):
+        prop.step_with(block(lat, seed=33, members=members + 1), tables, 0)
+
+
 def test_step_works_in_place_and_refuses_other_blocks():
     lat = LatticeParams(n_q=6, K=0.3)
     prop = BatchPropagator(lat)
