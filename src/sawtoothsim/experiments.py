@@ -27,18 +27,11 @@ from (config, master_seed) regardless of ensemble size, execution
 order or the number of cores: a large block is stepped in row slices
 on a few threads (:func:`_step_in_slices`), and a member's row does not
 depend on which rows share its slice.  The perturbed branch pays
-numpy's fixed costs per chunk of steps: it draws S steps per member in
-one call, S = min(steps left, 2^16 // members) for a kick block of more
-than 2^16 amplitudes.  On small blocks both channels also build the
-factors of their chunk in one pass over S * members rows, then apply
-them step by step, bit for bit the per-step result: the kick channel
-its kick tables, S = min(steps left, 2^16 // (members * N)), and the
-gate channel its circuit factors, S = min(steps left, 2^16 // (members
-* the larger of a step's phase-table entries and its noise
-parameters)) (:func:`_chunk_steps`).  A gate block for which S = 0
-(from 31 members at n_q = 9, 14 at n_q = 10 and 4 at n_q = 12) steps
-one step at a time.  The gate program of a lattice is compiled once
-(:func:`_engine`) and serves every curve and echo on it.
+numpy's fixed costs per chunk of steps: it draws a chunk of steps per
+member in one call and, on small blocks, builds the chunk's factors in
+one pass, bit for bit the per-step result (:func:`_chunk_steps` sizes
+the chunks of both channels).  The gate program of a lattice is
+compiled once (:func:`_engine`) and serves every curve and echo on it.
 
 Decay models are fitted on -log f: linear in t (exponential decay,
 rate Gamma) or linear in t^2 (Gaussian decay, rate 1/tau^2), by least
@@ -53,7 +46,7 @@ import math
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -270,45 +263,25 @@ def _initial_block(config: ExperimentConfig, states) -> np.ndarray:
     return block
 
 
-def noise_blocks(config: ExperimentConfig, members, shape: tuple,
-                 chunks=None):
-    """Per-step noise parameters of the listed ensemble members.
+def noise_blocks(config: ExperimentConfig, members, shape: tuple, chunks):
+    """Noise parameters of the listed ensemble members, a chunk at a time.
 
-    Yields one (len(members),) + shape block per map step.  Member m
-    draws ``uniform(-a, a, shape)`` from its own stream of the
-    channel's domain: the gate channel draws a (noisy_gate_count, 4)
-    parameter table with a = epsilon, the classical channel a scalar
-    kick detuning delta_k with a = delta_K / T.  The memoryless regime
-    draws a fresh block every step; the static regime draws once and
-    yields that block forever.  The yielded array is refilled in place
-    at the next memoryless step.
-
-    Given ``chunks``, step counts S, the source draws S memoryless steps
-    at a time: member m draws ``uniform(-a, a, (S,) + shape)`` in one
-    call, the numbers of S per-step calls, and the source yields them as
-    one (S, len(members)) + shape block per count.  A static source
-    yields its one draw as a (1, len(members)) + shape block for every
-    count.  :func:`perturbed_branch` asks for chunks of S = min(steps
-    left, its chunk size) steps in both channels, so it draws exactly
-    the steps it runs: per step or per chunk, nothing is drawn until a
-    block is requested.  The chunk size is 2^16 // (members * N) for a
-    kick block of at most 2^16 amplitudes, whose chunk's kick tables
-    are then built at once, and 2^16 // members for a larger one;
-    :func:`_chunk_steps` gives the gate channel's.
+    For each step count S in ``chunks``, yields one (S, len(members)) +
+    shape block.  Member m draws ``uniform(-a, a, (S,) + shape)`` from
+    its own stream of the channel's domain in one call, the numbers of
+    S per-step calls of shape ``shape``: the gate channel draws a
+    (noisy_gate_count, 4) parameter table per step with a = epsilon,
+    the classical channel a scalar kick detuning delta_k with a =
+    delta_K / T.  The memoryless regime draws each chunk afresh; the
+    static regime draws one step once and yields it as a (1,
+    len(members)) + shape block for every count.  Nothing is drawn
+    until a chunk is requested.
     """
     if config.channel == "classical":
         domain, a = streams.DOMAIN_CLASSICAL, config.delta_K / config.lattice.T
     else:
         domain, a = streams.DOMAIN_GATE, config.epsilon
     rngs = [streams.stream(config.master_seed, domain, m) for m in members]
-    if chunks is None:
-        block = np.empty((len(rngs), *shape))
-        while True:
-            for i, rng in enumerate(rngs):
-                block[i] = rng.uniform(-a, a, shape)
-            yield block
-            while config.regime == "static":
-                yield block
 
     def draw(steps):
         block = np.empty((steps, len(rngs), *shape))
@@ -416,18 +389,17 @@ def _engine(lattice: LatticeParams) -> CircuitEngine:
     return CircuitEngine(build_sawtooth_circuit(lattice))
 
 
-def _chunk_steps(engine: CircuitEngine, members: int) -> int:
-    """Most steps of gate noise whose factors are built at once.
+def _chunk_steps(members: int, *entries: int) -> int:
+    """Most steps of noise a chunk holds: 2^16 // (members * max(entries)).
 
-    A chunk's phase tables and its noise parameters each hold at most
-    ``_KICK_TILE_AMPS`` entries: per member and step, a sawtooth step's
-    tables hold at least N entries, and up to n_q = 6 its parameters
-    outnumber them.  0 where one step's tables or parameters are over
-    the budget.
+    ``entries`` are a member's entries per step of each kind a chunk
+    holds at once, so that each kind stays within ``_KICK_TILE_AMPS``
+    entries (1 MB of phases, 512 KB of parameters).  A step's factor
+    tables hold at least N entries per member, but up to n_q = 6 a gate
+    step's parameters outnumber them.  0 where one step is over the
+    budget.  The budget is read from this module at each call.
     """
-    per_step = max(engine.table_entries,
-                   engine.program.noisy_gate_count * PARAMS_PER_GATE)
-    return _KICK_TILE_AMPS // (members * per_step)
+    return _KICK_TILE_AMPS // (members * max(entries))
 
 
 def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
@@ -436,48 +408,36 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 
     Row i of ``block`` evolves under the noise of ensemble member
     ``members[i]`` (see :func:`noise_blocks`): the classical channel
-    steps ``prop`` with a per-member kick detuning, the quantum
-    channel runs the noisy gate circuit.  ``block`` may be overwritten.
+    steps ``prop`` with a per-member kick detuning, the quantum channel
+    runs the lattice's compiled gate circuit (:func:`_engine`).
+    ``block`` may be overwritten.
 
-    Both channels draw the noise of S steps at once and apply it one
-    step at a time.  Where members * N <= ``_KICK_TILE_AMPS`` (2^16),
-    the classical channel draws S = min(steps left, 2^16 // (members *
-    N)) detunings per member, builds their kick tables in one call
-    (:meth:`BatchPropagator.step_factors`, at most 2^16 entries) and
-    applies them with :meth:`BatchPropagator.step_with`.  A larger
-    block (S = 0 there) draws S = min(steps left, 2^16 // members)
-    detunings per member and steps ``prop`` in row slices, each tile
-    building its own tables.  The quantum channel runs the lattice's
-    one compiled engine (:func:`_engine`).  It draws S = min(steps
-    left, :func:`_chunk_steps`) steps, builds their factors in one pass
-    (:meth:`CircuitEngine.step_factors`) and applies them with
-    :meth:`CircuitEngine.step_with`.  Where one gate step is over the
-    budget (S = 0), each step runs :meth:`CircuitEngine.step_noisy` in
-    row slices.  A chunked block of either channel holds at most 2^16 /
-    N members, too few to slice.  A static branch is one chunk of its
-    one draw, which serves every step.  The budget is read from this
-    module's ``_KICK_TILE_AMPS`` at each call.
+    Both channels run one loop, which draws a chunk of steps per member
+    at once and applies it one step at a time.  Where the factor tables
+    and the noise parameters of S > 0 steps fit the budget
+    (:func:`_chunk_steps`), the engine builds a chunk's factors in one
+    pass (``step_factors``) and applies them with ``step_with``, bit for
+    bit its per-step call.  Otherwise a chunk holds the steps whose
+    parameters fit the budget, at least one, and each step runs the
+    engine's per-step call (``step`` or ``step_noisy``) in row slices.  A
+    chunked block holds at most 2^16 / N members, too few to slice.  A
+    static branch is one chunk of its one draw, which serves every step.
     """
     if config.channel == "classical":
-        shape = ()
-        chunk = _KICK_TILE_AMPS // (len(members) * config.lattice.N)
-        build, step_with = prop.step_factors, prop.step_with
-        if not chunk:
-            chunk = max(1, _KICK_TILE_AMPS // len(members))
-            build = np.asarray  # a kick step's factors are its detunings
-
-            def step_with(block, detunings, t):
-                return _step_in_slices(prop.step, block, detunings[t])
+        engine, step, shape = prop, prop.step, ()
     else:
         engine = _engine(config.lattice)
+        step = engine.step_noisy
         shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
-        chunk = _chunk_steps(engine, len(members))
-        build, step_with = engine.step_factors, engine.step_with
-        if not chunk:
-            for params in islice(noise_blocks(config, members, shape), steps):
-                block = _step_in_slices(engine.step_noisy, block, params)
-                yield block
-            return
+    per_step = math.prod(shape)
+    chunk = _chunk_steps(len(members), engine.table_entries, per_step)
+    build, step_with = engine.step_factors, engine.step_with
+    if not chunk:
+        chunk = max(1, _chunk_steps(len(members), per_step))
+        build = np.asarray  # a per-step call takes its step's parameters
+
+        def step_with(block, params, t):
+            return _step_in_slices(step, block, params[t])
     if config.regime == "static":
         chunk = max(steps, 1)
     sizes = [min(chunk, steps - t) for t in range(0, steps, chunk)]
@@ -496,33 +456,30 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # (members, N) blocks live at the peak of fidelity_curve, plus a few
 # (N,) rows however many members there are.  tracemalloc peaks besides
 # member_f, in blocks at n_q = 12, stepped whole and in two row slices,
-# with the gate program already compiled: 3.74 and 3.78 for gate noise
+# with the gate program already compiled: 4.01 and 3.85 for gate noise
 # with 10 states x 5 draws, and 4.54 and 4.58 with one draw for each of
 # 50 states, where the ideal branch is as large as the perturbed block.
 # The perturbed block, the spare block the circuit's dense passes write
 # into and the half-size phase tables make up the rest; two slices hold
 # half-size temporaries each.  Kick noise steps both branches in place,
 # one 2^16-amplitude tile at a time, and each slice takes its overlaps a
-# tile of ideal rows at a time, so it holds 1.37 and 1.48 blocks with
-# 50 x 4 and 2.46 and 2.86 with 50 x 1 (1.52 and 3.06 while the overlap
-# conjugated all ideal rows at once).  One member peaks at 7.04 rows at
+# tile of ideal rows at a time, so it holds 1.38 and 1.48 blocks with
+# 50 x 4 and 2.46 and 2.86 with 50 x 1.  One member peaks at 7.04 rows at
 # n_q = 16 in either channel, where building the initial packet and the
 # propagator's two phase tables are most of the fixed rows.
 # scattering_fidelity builds one state and echoes one member, and drops
 # its propagator once the echo is done: at n_q = 16 a first call peaks
-# at 6.27 rows (gate, with the compile) and 6.04 (kick), later calls at
-# 6.09 and 6.04 for the first or a later state.  The guard's 6 blocks
-# follow the gate channel, the largest at 4.6.  These are step-by-step
-# peaks.  A branch that builds a chunk of steps at once does so only for
-# blocks of at most 2^16 amplitudes.  A gate chunk (_chunk_steps) holds
-# at most 2^16 phase-table entries (1 MB) and 2^16 noise parameters:
-# tracemalloc put such a curve's peak, besides its member_f, at 3.1 MB
-# or less (n_q 1 to 13, 1 to 50 members), which is 22 rows for one
-# member at n_q = 12 and 12 at n_q = 13; from n_q = 14 on one step of
-# one member is over that budget.  A kick chunk holds at most 2^16 table
-# entries (1 MB): one member peaks at 24 rows at n_q = 12, 14 at 13 and
-# 9.1 at 14 (1.5, 1.7 and 2.3 MB), and from n_q = 16 on a chunk is one
-# step, one row.
+# at 6.31 rows (gate, with the compile) and 6.04 (kick), later calls at
+# 6.11 and 6.04 for the first or a later state.  The guard's 6 blocks
+# follow the gate channel, the largest at 4.6.  Besides its blocks, a
+# branch holds one chunk of noise (_chunk_steps), at most 2^16
+# parameters (512 KB), and where it builds the chunk's factors at once,
+# at most 2^16 table entries (1 MB).  Over 40 steps tracemalloc put a
+# chunked gate curve at 2.9 MB or less (n_q 1 to 13, 1 to 50 members),
+# which is 21 rows for one member at n_q = 12 and 12 at 13, and a kick
+# curve at 24 rows at n_q = 12, 14 at 13 and 9.1 at 14 (1.5, 1.7 and
+# 2.3 MB).  One gate member, stepped one step at a time from n_q = 14
+# on, peaks at 8.8 rows at n_q = 14 (2.2 MB) and 7.1 at 15.
 _CURVE_LIVE_BLOCKS = 6
 _CURVE_FIXED_ROWS = 4
 

@@ -1,6 +1,7 @@
 """Gate layer: counts, kernels, noise draws, engine equivalences."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -271,13 +272,14 @@ def test_run_step_ideal_matches_exact():
 # ---------------------------------------------------------------------------
 
 def gate_noise(n_q, epsilon, regime="memoryless", members=(0,), seed=3):
-    """The gate-channel noise source and the program it feeds."""
+    """The gate-channel noise source, one step per chunk, and its program."""
     lat = LatticeParams(n_q=n_q, K=0.4)
     prog = build_sawtooth_circuit(lat)
     config = ExperimentConfig(lattice=lat, channel="quantum", epsilon=epsilon,
                               regime=regime, master_seed=seed)
     shape = (prog.noisy_gate_count, PARAMS_PER_GATE)
-    return prog, noise_blocks(config, members, shape)
+    chunks = noise_blocks(config, members, shape, itertools.repeat(1))
+    return prog, (chunk[0] for chunk in chunks)
 
 
 def test_noise_model_validation():

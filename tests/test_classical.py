@@ -1,5 +1,6 @@
 """Classical map: stepping, stability diagnostics, perturbed orbits."""
 
+import itertools
 import math
 
 import numpy as np
@@ -239,8 +240,8 @@ def test_kick_noise_schedule():
     def schedule(seed):
         config = ExperimentConfig(lattice=lattice, channel="classical",
                                   delta_K=2e-3, master_seed=seed)
-        blocks = noise_blocks(config, [0], ())
-        return np.array([next(blocks)[0] for _ in range(500)]) * lattice.T
+        chunks = noise_blocks(config, [0], (), itertools.repeat(1))
+        return np.array([next(chunks)[0, 0] for _ in range(500)]) * lattice.T
 
     vals = schedule(11)
     assert vals.shape == (500,)

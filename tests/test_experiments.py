@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple, replace
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 import pytest
@@ -295,6 +295,35 @@ class TestFidelityCurve:
         finally:
             tracemalloc.stop()
         assert peak < 10 ** 6
+
+    @pytest.mark.parametrize("channel", ["quantum", "classical"])
+    def test_memory_estimate_bounds_the_peak(self, monkeypatch, channel):
+        # at n_q = 16 the amplitude rows outweigh every fixed cost; the
+        # rows the guard asks for bound what a curve holds at its peak,
+        # the lattice's first compile included, with 1 and 4 members (one
+        # ideal row per member or one for two): one kick member builds
+        # its kick tables a chunk of steps at a time, every other branch
+        # steps one step at a time on noise drawn a chunk at a time
+        lattice = LatticeParams(n_q=16, K=0.1)
+        amplitude = {"epsilon": 1e-3} if channel == "quantum" else {
+            "delta_K": 1e-3}
+        estimates = []
+        monkeypatch.setattr(ex, "_require_memory",
+                            lambda lattice, rows: estimates.append(rows))
+        for n_states, n_noise in ((1, 1), (4, 1), (2, 2)):
+            config = ExperimentConfig(
+                lattice=lattice, channel=channel, theta0=None, t_max=3,
+                n_states=n_states, n_noise=n_noise, **amplitude)
+            ex._engine.cache_clear()
+            estimates.clear()
+            tracemalloc.start()
+            try:
+                fidelity_curve(config)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            (rows,) = estimates
+            assert peak < rows * lattice.N * 16
 
     def test_error_bar_shrinks_with_ensemble(self):
         def mean_err(n_noise):
@@ -959,6 +988,18 @@ def chunk_sizes(monkeypatch):
     return sizes
 
 
+def one_step_chunks(config, members, shape):
+    """The noise of ``members``, one (members,) + shape block per step."""
+    return (chunk[0] for chunk in ex.noise_blocks(config, members, shape,
+                                                  repeat(1)))
+
+
+def gate_entries(engine):
+    """A member's phase-table entries and noise parameters per step."""
+    return (engine.table_entries,
+            engine.program.noisy_gate_count * PARAMS_PER_GATE)
+
+
 def recorded_draws(monkeypatch, domain):
     """Uniforms drawn from each member's stream in ``domain``, by member."""
     drawn = {}
@@ -992,16 +1033,17 @@ class TestStepChunks:
         sizes = chunk_sizes(monkeypatch)
         for members, regime in product((1, 3, 7), ("memoryless", "static")):
             config = chunk_config(n_q, regime, members)
+            engine = CircuitEngine(build_sawtooth_circuit(config.lattice))
             start = np.repeat(ex._initial_block(config, [0]), members, axis=0)
-            monkeypatch.setattr(ex, "_chunk_steps", lambda engine, members: 3)
+            monkeypatch.setattr(ex, "_KICK_TILE_AMPS",
+                                3 * members * max(gate_entries(engine)))
             sizes.clear()
             chunked = [b.copy() for b in ex.perturbed_branch(
                 config, BatchPropagator(config.lattice), start.copy(),
                 range(members), 11)]
             assert sizes == ([3, 3, 3, 2] if regime == "memoryless" else [1])
 
-            engine = CircuitEngine(build_sawtooth_circuit(config.lattice))
-            draws = ex.noise_blocks(config, range(members), (
+            draws = one_step_chunks(config, range(members), (
                 engine.program.noisy_gate_count, PARAMS_PER_GATE))
             block = start.copy()
             assert len(chunked) == 11
@@ -1011,34 +1053,40 @@ class TestStepChunks:
 
     @pytest.mark.parametrize("regime", ["memoryless", "static"])
     def test_curve_equals_per_step_curve(self, monkeypatch, regime):
-        # 12 members at n_q = 6 step in chunks of 11, 11, 11 and 7 steps
+        # 12 members at n_q = 6 step in chunks of 11, 11, 11 and 7 steps,
+        # or (with the budget one entry short of one step) step by step
         config = replace(chunk_config(6, regime, 4, steps=40), n_states=3,
                          initial="gaussian", theta0=None)
         sizes = chunk_sizes(monkeypatch)
         chunked = fidelity_curve(config).member_f
         assert sizes == ([11, 11, 11, 7] if regime == "memoryless" else [1])
         sizes.clear()
-        monkeypatch.setattr(ex, "_chunk_steps", lambda engine, members: 0)
+        per_step = max(gate_entries(ex._engine(config.lattice)))
+        monkeypatch.setattr(ex, "_KICK_TILE_AMPS", 12 * per_step - 1)
         assert np.array_equal(fidelity_curve(config).member_f, chunked)
         assert sizes == []
 
     def test_chunked_blocks_never_slice(self):
         # a step's tables hold at least N entries per member, so a block
         # whose one step fits the budget is below two slices; step_factors
-        # builds table_entries per member and step
+        # builds table_entries per member and step, in either channel
         for n_q in range(1, 15):
-            engine = CircuitEngine(build_sawtooth_circuit(
-                LatticeParams(n_q=n_q, K=0.1)))
+            lattice = LatticeParams(n_q=n_q, K=0.1)
+            engine = CircuitEngine(build_sawtooth_circuit(lattice))
+            prop = BatchPropagator(lattice)
             N = 1 << n_q
-            assert engine.table_entries >= N
+            assert engine.table_entries >= N and prop.table_entries == N
             for members in (1, 2, 3, 7, 25, 50, 200):
-                if ex._chunk_steps(engine, members):
-                    assert members * N // ex._KICK_TILE_AMPS < 2
+                for entries in (gate_entries(engine), (N, 1)):
+                    if ex._chunk_steps(members, *entries):
+                        assert members * N // ex._KICK_TILE_AMPS < 2
             params = np.zeros((2, 3, engine.program.noisy_gate_count,
                                PARAMS_PER_GATE))
             _, _, runs = engine.step_factors(params)
             assert sum(f[0].size for run in runs for f in run) == (
                 3 * engine.table_entries)
+            assert prop.step_factors(np.zeros((2, 3))).size == (
+                2 * 3 * prop.table_entries)
 
     @pytest.mark.parametrize("forced", [False, True])
     def test_each_step_draws_its_own_uniforms(self, monkeypatch, forced):
@@ -1048,10 +1096,10 @@ class TestStepChunks:
         memoryless = chunk_config(6, members=7)
         engine = CircuitEngine(build_sawtooth_circuit(memoryless.lattice))
         per_step = engine.program.noisy_gate_count * PARAMS_PER_GATE
-        S = ex._chunk_steps(engine, 7)
+        S = ex._chunk_steps(7, *gate_entries(engine))
         assert S == 20
         if forced:
-            monkeypatch.setattr(ex, "_chunk_steps", lambda engine, members: 0)
+            monkeypatch.setattr(ex, "_KICK_TILE_AMPS", 7 * per_step - 1)
         drawn = recorded_draws(monkeypatch, streams.DOMAIN_GATE)
         start = np.repeat(ex._initial_block(memoryless, [0]), 7, axis=0)
         for regime, steps in product(("memoryless", "static"),
@@ -1066,27 +1114,74 @@ class TestStepChunks:
             assert {m: sum(map(len, d)) for m, d in drawn.items()} == {
                 m: once * per_step for m in range(7) if once}
 
+    def test_per_step_path_draws_in_chunks(self, monkeypatch):
+        # with S = 0 forced, 3 members at n_q = 11 draw the parameters of
+        # D = 4 steps per call: at 0, 1, D - 1, D, D + 1 and 9 steps a
+        # member makes ceil(steps / D) calls (one in the static regime)
+        # for steps x n_g x 4 uniforms (one step's), and every yielded
+        # block equals step_noisy on per-step draws of the raw streams
+        members, D = 3, 4
+        memoryless = chunk_config(11, members=members)
+        engine = ex._engine(memoryless.lattice)
+        entries, per_step = gate_entries(engine)
+        monkeypatch.setattr(ex, "_KICK_TILE_AMPS", D * members * per_step)
+        assert ex._chunk_steps(members, entries, per_step) == 0
+        sizes = chunk_sizes(monkeypatch)
+        drawn = recorded_draws(monkeypatch, streams.DOMAIN_GATE)
+        start = np.repeat(ex._initial_block(memoryless, [0]), members, axis=0)
+        shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
+        for regime, steps in product(("memoryless", "static"),
+                                     (0, 1, D - 1, D, D + 1, 9)):
+            config = replace(memoryless, regime=regime)
+            drawn.clear()
+            got = [b.copy() for b in ex.perturbed_branch(
+                config, BatchPropagator(config.lattice), start.copy(),
+                range(members), steps)]
+            assert len(got) == steps and sizes == []
+            once = steps if regime == "memoryless" else min(steps, 1)
+            calls = -(-steps // D) if regime == "memoryless" else once
+            assert sorted(drawn) == (list(range(members)) if once else [])
+            for m in drawn:
+                assert len(drawn[m]) == calls
+                assert sum(map(len, drawn[m])) == once * per_step
+
+            rngs = [streams.stream(4, streams.DOMAIN_GATE, m)
+                    for m in range(members)]
+            block = start.copy()
+            for t, pert in enumerate(got):
+                if t == 0 or regime == "memoryless":
+                    params = np.stack([rng.uniform(-0.03, 0.03, shape)
+                                       for rng in rngs])
+                block = engine.step_noisy(block, params)
+                assert np.array_equal(pert, block)
+
     def test_chunked_draw_equals_per_step_draws(self):
-        # the gate-domain twin of the kick detunings' bulk draw: chunks of
-        # 4 and 3 steps hold the numbers of 7 per-step draws, and a
-        # member's stream drawn in bulk
-        config = chunk_config(5, members=3, seed=13)
-        shape = (build_sawtooth_circuit(config.lattice).noisy_gate_count,
-                 PARAMS_PER_GATE)
+        # in either channel, chunks of 4 and 3 steps hold the numbers of
+        # 7 per-step numpy draws from each member's stream: (n_g, 4) gate
+        # parameters with a = epsilon, or one kick detuning with a =
+        # delta_K / T; a static source yields its first draw as a
+        # one-step chunk
+        gate = chunk_config(5, members=3, seed=13)
+        kick = replace(gate, channel="classical", epsilon=0.0, delta_K=0.05)
         members = [0, 4, 2]
-        steps = ex.noise_blocks(config, members, shape)
-        per_step = np.stack([next(steps).copy() for _ in range(7)])
-        chunks = list(ex.noise_blocks(config, members, shape, [4, 3]))
-        assert [len(c) for c in chunks] == [4, 3]
-        assert np.array_equal(np.concatenate(chunks), per_step)
-        bulk = streams.stream(13, streams.DOMAIN_GATE, 4).uniform(
-            -0.03, 0.03, (7, *shape))
-        assert np.array_equal(per_step[:, 1], bulk)
-        # a static source yields its first draw as a one-step chunk
-        static = list(ex.noise_blocks(replace(config, regime="static"),
-                                      members, shape, [4, 3]))
-        assert static[0] is static[1] and static[0].shape == (1, 3, *shape)
-        assert np.array_equal(static[0][0], per_step[0])
+        for config, domain, a, shape in (
+                (gate, streams.DOMAIN_GATE, 0.03, (
+                    build_sawtooth_circuit(gate.lattice).noisy_gate_count,
+                    PARAMS_PER_GATE)),
+                (kick, streams.DOMAIN_CLASSICAL, 0.05 / kick.lattice.T, ())):
+            rngs = [streams.stream(13, domain, m) for m in members]
+            per_step = np.stack([np.stack([rng.uniform(-a, a, shape)
+                                           for rng in rngs])
+                                 for _ in range(7)])
+            chunks = list(ex.noise_blocks(config, members, shape, [4, 3]))
+            assert [c.shape for c in chunks] == [(4, 3, *shape),
+                                                 (3, 3, *shape)]
+            assert np.array_equal(np.concatenate(chunks), per_step)
+            static = list(ex.noise_blocks(replace(config, regime="static"),
+                                          members, shape, [4, 3]))
+            assert static[0] is static[1]
+            assert static[0].shape == (1, 3, *shape)
+            assert np.array_equal(static[0][0], per_step[0])
 
 
 def engine_arrays(value):
@@ -1180,7 +1275,7 @@ class TestKickChunks:
             got = {m: np.concatenate(v) for m, v in drawn.items()}
 
             drawn.clear()
-            per_step = ex.noise_blocks(config, range(members), ())
+            per_step = one_step_chunks(config, range(members), ())
             block = start.copy()
             assert len(chunked) == steps
             for pert in chunked:
@@ -1231,7 +1326,7 @@ class TestKickChunks:
                 config, prop, start.copy(), range(members), 11)]
             assert sizes == ([3, 3, 3, 2] if regime == "memoryless" else [1])
 
-            per_step = ex.noise_blocks(config, range(members), ())
+            per_step = one_step_chunks(config, range(members), ())
             block = start.copy()
             assert len(chunked) == 11
             for got in chunked:

@@ -191,8 +191,8 @@ def test_evolve_keep_all_and_delta_log():
                          12),
         12)]
     assert len(states) == 12
-    blocks = noise_blocks(config, [3], ())
-    deltas = np.array([next(blocks)[0] for _ in range(12)])
+    chunks = noise_blocks(config, [3], (), itertools.repeat(1))
+    deltas = np.array([next(chunks)[0, 0] for _ in range(12)])
     assert np.abs(deltas).max() <= 0.2
     bulk = streams.stream(5, streams.DOMAIN_CLASSICAL, 3).uniform(-0.2, 0.2, 12)
     assert np.array_equal(deltas, bulk)
@@ -390,9 +390,9 @@ def test_step_perturbation_bounds():
     dk_max = 0.3
 
     def draws(regime, seed):
-        blocks = noise_blocks(kick_config(lat, dk_max * lat.T, regime, seed),
-                              [0, 1], ())
-        return np.array([next(blocks).copy() for _ in range(500)])
+        chunks = noise_blocks(kick_config(lat, dk_max * lat.T, regime, seed),
+                              [0, 1], (), itertools.repeat(1))
+        return np.array([next(chunks)[0] for _ in range(500)])
 
     vals = draws("memoryless", 2)
     assert vals.shape == (500, 2)
