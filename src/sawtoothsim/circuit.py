@@ -332,15 +332,14 @@ def _bit_factor(phases, lin, quads):
 
     (members, 2^j) table, or (members, 1) when the run couples bit j
     to no lower bit: the linear factor times the quadratic factors of
-    the lower bits that are set.  Slots given as (groups,) index arrays
-    give a (members, groups, ...) table, one per group.
+    the lower bits that are set, which is the phase table of a run
+    whose constant is bit j's linear slot and whose bit i has the pair
+    slot (i, j) as its linear slot.  Slots given as (groups,) index
+    arrays give a (members, groups, ...) table, one per group.
     """
-    f = phases[:, lin, None]
-    if any(s is not None for s in quads):
-        for s in quads:
-            f = (np.concatenate((f, f), axis=-1) if s is None
-                 else _doubled(f, phases[:, s, None]))
-    return f
+    if all(s is None for s in quads):
+        return phases[:, lin, None]
+    return _phase_table(phases, lin, [(s, ()) for s in quads])
 
 
 def _phase_table(phases, const, bits):
@@ -372,15 +371,6 @@ def _run_factors(phases, const, bits):
     *low, (lin, quads) = bits
     yield _phase_table(phases, const, low)
     yield _bit_factor(phases, lin, quads)
-
-
-def _run_entries(bits):
-    """Entries per member of the factors :func:`_run_factors` yields."""
-    *low, (_, quads) = bits
-    if not low:
-        return 2
-    size = 1 << len(low)
-    return size + (size if any(s is not None for s in quads) else 1)
 
 
 def _apply_run(amps, factors):
@@ -476,28 +466,29 @@ class CircuitEngine:
     gates).  The program's phase offset joins the constant of the first
     table.
 
-    Parameters arrive as a (members, noisy_gate_count, 4) block per
-    step.  A step first takes every gate's four sector differences
-    with elementwise operations on the whole block; each coefficient of
-    every phase table is then its fixed angle plus a sum of gathered
-    differences, all slots in one reduction (see :class:`_Slots`).  It
-    takes the cosines, sines and exponentials of all the Hadamard
-    parameters at once and builds the (members, 2^k, 2^k) unitaries of
-    all groups with one local structure together (the groups of a
-    ladder share one).  A group at bit 0 right-multiplies
-    the block viewed as (members, N / 2^k, 2^k); a group higher up
-    left-multiplies the (2^k, 2^lo) slices below its lowest bit lo.
-    The dense passes alternate between the block and one spare block.
-    Every other operation across members is elementwise or a
-    per-member reduction, and each matrix product takes one member's
-    unitary and rows, so a member's row does not depend on which other
-    members share its block.  :meth:`step_factors` therefore builds the
-    factors of several steps as one block of steps x members rows, and
-    :meth:`step_with` applies one step of them bit for bit as
-    :meth:`step_noisy` would; ``table_entries`` counts the phase-table
-    entries of one member's step.  The compiled arrays are read-only,
-    and a step writes only into its own blocks, so one engine can serve
-    every caller on its lattice.
+    Parameters arrive as a (members,) + ``param_shape`` block per step,
+    with ``param_shape`` = (noisy_gate_count, 4).  A step first takes
+    every gate's four sector differences with elementwise operations on
+    the whole block; each coefficient of every phase table is then its
+    fixed angle plus a sum of gathered differences, all slots in one
+    reduction (see :class:`_Slots`).  It takes the cosines, sines and
+    exponentials of all the Hadamard parameters at once and builds the
+    (members, 2^k, 2^k) unitaries of all groups with one local
+    structure together (the groups of a ladder share one).  A group at
+    bit 0 right-multiplies the block viewed as (members, N / 2^k, 2^k);
+    a group higher up left-multiplies the (2^k, 2^lo) slices below its
+    lowest bit lo.  The dense passes alternate between the block and
+    one spare block.  Every other operation across members is
+    elementwise or a per-member reduction, and each matrix product
+    takes one member's unitary and rows, so a member's row does not
+    depend on which other members share its block.  :meth:`step_factors`
+    therefore builds the factors of several steps as one block of
+    steps x members rows, and :meth:`step_with` applies one step of them
+    bit for bit as :meth:`step_noisy` would; ``table_entries`` counts
+    the phase-table entries of one member's step, read at compile time
+    off the factors of one row of unit phases.  The compiled arrays are
+    read-only, and a step writes only into its own blocks, so one engine
+    can serve every caller on its lattice.
     """
 
     def __init__(self, program: CircuitProgram):
@@ -551,22 +542,26 @@ class CircuitEngine:
             [i for terms in slots.terms for i in terms], dtype=np.intp))
         self._starts = _frozen(np.cumsum([0] + [len(t) for t in
                                                 slots.terms[:-1]]))
-        # phase-table entries per member and step
-        self.table_entries = sum(_run_entries(b) for kind, _, b, _
-                                 in self.segments if kind == "d")
+        # per member and step: the noise parameters, and the phase-table
+        # entries, read off the factors of one row of unit phases
+        self.param_shape = (program.noisy_gate_count, PARAMS_PER_GATE)
+        unit = np.ones((1, len(slots.angles)), dtype=complex)
+        self.table_entries = sum(
+            f.size for kind, a, b, _ in self.segments if kind == "d"
+            for f in _run_factors(unit, a, b))
 
     def step_noisy(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         """Evolved block; ``amps`` may be overwritten.
 
-        amps: (members, 2^n_q); params: (members, noisy_gate_count, 4)
-        in program gate order.  Each phase table is built just before it
+        amps: (members, 2^n_q); params: (members,) + ``param_shape``, in
+        program gate order.  Each phase table is built just before it
         is applied.
         """
         m = amps.shape[0]
         if amps.shape != (m, 1 << self.n_q):
             raise ValueError(f"amps has shape {amps.shape}, expected "
                              f"(members, {1 << self.n_q})")
-        expected = (m, self.program.noisy_gate_count, PARAMS_PER_GATE)
+        expected = (m, *self.param_shape)
         if params.shape != expected:
             raise ValueError(f"params has shape {params.shape}, "
                              f"expected {expected}")
@@ -578,18 +573,18 @@ class CircuitEngine:
     def step_factors(self, params: np.ndarray):
         """Every factor of the steps in ``params``, built in one pass.
 
-        params: (steps, members, noisy_gate_count, 4); the steps * members
+        params: (steps, members) + ``param_shape``; the steps * members
         rows go through the coefficients, the unitaries and the phase
         tables together, row by row as in :meth:`step_noisy`.  The
         tables hold ``steps * members * table_entries`` entries.
         Returns what :meth:`step_with` takes.
         """
-        gates = (self.program.noisy_gate_count, PARAMS_PER_GATE)
-        if params.ndim != 4 or params.shape[2:] != gates:
+        if params.ndim != 4 or params.shape[2:] != self.param_shape:
             raise ValueError(f"params has shape {params.shape}, expected "
-                             f"(steps, members, {gates[0]}, {gates[1]})")
+                             f"(steps, members) + {self.param_shape}")
         steps, m = params.shape[:2]
-        phases, blocks = self._coefficients(params.reshape(steps * m, *gates))
+        phases, blocks = self._coefficients(
+            params.reshape(steps * m, *self.param_shape))
         blocks = [w.reshape(steps, m, *w.shape[1:]) for w in blocks]
         runs = [[f.reshape(steps, m, -1) for f in _run_factors(phases, a, b)]
                 for kind, a, b, _ in self.segments if kind == "d"]
@@ -683,9 +678,8 @@ def circuit_deviation(lattice: LatticeParams, n_states: int = 20,
     the two engines must agree to near machine precision on random
     states.
     """
-    program = build_sawtooth_circuit(lattice)
-    engine = CircuitEngine(program)
-    zero = np.zeros((1, program.noisy_gate_count, PARAMS_PER_GATE))
+    engine = CircuitEngine(build_sawtooth_circuit(lattice))
+    zero = np.zeros((1, *engine.param_shape))
     worst = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(n_states):

@@ -267,7 +267,6 @@ def cmd_circuit_check(args) -> int:
 def cmd_scattering(args) -> int:
     config = _experiment_config(args)
     t, shots = config.t_max, args.shots
-    # the sampled estimate checks shots, so it runs first
     f_sampled = scattering_fidelity(config, t, mode="sampled", shots=shots)
     f_analytic = scattering_fidelity(config, t, mode="analytic")
     print(f"t = {t}: f_analytic = {f_analytic:.12f}, "

@@ -51,7 +51,7 @@ from itertools import product
 import numpy as np
 
 from . import streams
-from .circuit import PARAMS_PER_GATE, CircuitEngine, build_sawtooth_circuit
+from .circuit import CircuitEngine, build_sawtooth_circuit
 from .classical import lyapunov_exponent
 from .propagator import _KICK_TILE_AMPS, BatchPropagator
 from .states import (
@@ -269,13 +269,13 @@ def noise_blocks(config: ExperimentConfig, members, shape: tuple, chunks):
     For each step count S in ``chunks``, yields one (S, len(members)) +
     shape block.  Member m draws ``uniform(-a, a, (S,) + shape)`` from
     its own stream of the channel's domain in one call, the numbers of
-    S per-step calls of shape ``shape``: the gate channel draws a
-    (noisy_gate_count, 4) parameter table per step with a = epsilon,
-    the classical channel a scalar kick detuning delta_k with a =
-    delta_K / T.  The memoryless regime draws each chunk afresh; the
-    static regime draws one step once and yields it as a (1,
-    len(members)) + shape block for every count.  Nothing is drawn
-    until a chunk is requested.
+    S per-step calls of shape ``shape``, the engine's ``param_shape``:
+    the gate channel draws a (noisy_gate_count, 4) parameter table per
+    step with a = epsilon, the classical channel a scalar kick detuning
+    delta_k with a = delta_K / T.  The memoryless regime draws each
+    chunk afresh; the static regime draws one step once and yields it
+    as a (1, len(members)) + shape block for every count.  Nothing is
+    drawn until a chunk is requested.
     """
     if config.channel == "classical":
         domain, a = streams.DOMAIN_CLASSICAL, config.delta_K / config.lattice.T
@@ -329,34 +329,31 @@ def _serial_slices() -> None:
     _slice_workers = 1
 
 
-def _step_in_slices(step, block: np.ndarray, params=None) -> np.ndarray:
-    """``step(block, params)``, run as contiguous row slices on threads.
+def _step_in_slices(step, block: np.ndarray, *params) -> np.ndarray:
+    """``step(block, *params)``, run as contiguous row slices on threads.
 
     ``step`` advances each row of the (members, N) ``block`` under the
-    same row of ``params`` and may overwrite its input; ``params`` is
-    None, an array or a tuple of arrays, each cut into the slice's rows.
-    Rows do not depend on each other, and numpy's FFTs and matrix
-    products release the GIL, so slices step at the same time.  The
-    block is cut into at most ``_slice_workers`` slices of at least
-    ``_KICK_TILE_AMPS`` amplitudes; the calling thread steps the first
-    slice, a thread pool the others, and a result that is not the slice
-    itself (the circuit may return its spare block; the propagator steps
-    in place) is copied back into ``block``, which is returned.  A block
-    too small for two such slices is stepped by one plain call.
+    same row of each array in ``params`` and may overwrite its input; a
+    slice's call gets each array cut to the slice's rows, so a step can
+    also write a per-row result into one of them.  Rows do not depend
+    on each other, and numpy's FFTs and matrix products release the
+    GIL, so slices step at the same time.  The block is cut into at
+    most ``_slice_workers`` slices of at least ``_KICK_TILE_AMPS``
+    amplitudes; the calling thread steps the first slice, a thread pool
+    the others, and a result that is not the slice itself (the circuit
+    may return its spare block; the propagator steps in place) is
+    copied back into ``block``, which is returned.  A block too small
+    for two such slices is stepped by one plain call.
     """
     global _slice_pool
     rows = block.shape[0]
     n = min(_slice_workers, rows, block.size // _KICK_TILE_AMPS)
     if n < 2:
-        return step(block, params)
+        return step(block, *params)
 
     def run(lo, hi):
         view = block[lo:hi]
-        if isinstance(params, tuple):
-            part = tuple(p[lo:hi] for p in params)
-        else:
-            part = None if params is None else params[lo:hi]
-        out = step(view, part)
+        out = step(view, *(p[lo:hi] for p in params))
         if out is not view:
             view[...] = out
 
@@ -424,11 +421,11 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
     static branch is one chunk of its one draw, which serves every step.
     """
     if config.channel == "classical":
-        engine, step, shape = prop, prop.step, ()
+        engine, step = prop, prop.step
     else:
         engine = _engine(config.lattice)
         step = engine.step_noisy
-        shape = (engine.program.noisy_gate_count, PARAMS_PER_GATE)
+    shape = engine.param_shape
     per_step = math.prod(shape)
     chunk = _chunk_steps(len(members), engine.table_entries, per_step)
     build, step_with = engine.step_factors, engine.step_with
@@ -522,15 +519,13 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
     # ideal row once for its n_noise members, with no gathered copy.  A
     # slice of ideal rows steps and takes its members' overlaps in one
     # job, so the overlaps run on the slice threads too, and conjugates
-    # at most 2^16 ideal amplitudes at a time, not the whole block
+    # one propagator tile of ideal rows (at most 2^16 amplitudes) at a
+    # time, not the whole block
     overlap = np.empty((config.n_states, config.n_noise), dtype=complex)
 
-    def step_ideal(rows, params):
-        pert, out = params
+    def step_ideal(rows, pert, out):
         rows = prop.step(rows)
-        tile = max(1, _KICK_TILE_AMPS // rows.shape[1])
-        for i in range(0, len(rows), tile):
-            part = slice(i, i + tile)
+        for part in prop._tiles(rows):
             np.einsum("sn,skn->sk", rows[part].conj(), pert[part],
                       out=out[part])
         return rows
@@ -538,8 +533,9 @@ def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
     member_f = np.empty((n_members, config.t_max + 1))
     member_f[:, 0] = 1.0
     for t, pert in enumerate(branch, 1):
-        ideal = _step_in_slices(step_ideal, ideal, (
-            pert.reshape(config.n_states, config.n_noise, -1), overlap))
+        ideal = _step_in_slices(
+            step_ideal, ideal,
+            pert.reshape(config.n_states, config.n_noise, -1), overlap)
         member_f[:, t] = np.abs(overlap.ravel()) ** 2
 
     np.clip(member_f, 0.0, 1.0, out=member_f)
@@ -902,7 +898,8 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
 
     mode "analytic" evaluates the polarizations from the joint state;
     mode "sampled" estimates each from ``shots`` simulated projective
-    measurements (two settings, 2 * shots measurements total).
+    measurements (two settings, 2 * shots measurements total).  A
+    ``shots`` below 1 is refused in either mode, before any step runs.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -910,6 +907,8 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
         raise ValueError("mode must be 'analytic' or 'sampled'")
     if not 0 <= member < config.n_members:
         raise ValueError(f"member must be in [0, {config.n_members})")
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     _require_memory(config.lattice, _CURVE_LIVE_BLOCKS + _CURVE_FIXED_ROWS)
     (psi,) = _initial_block(config, [member // config.n_noise])
 
@@ -931,8 +930,6 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
     sy = float(2.0 * np.sum(np.imag(np.conj(a0) * a1)))
 
     if mode == "sampled":
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
         rng = streams.stream(config.master_seed, streams.DOMAIN_SHOTS, member, t)
         hits_z = rng.binomial(shots, np.clip((1.0 + sz) / 2.0, 0.0, 1.0))
         hits_y = rng.binomial(shots, np.clip((1.0 + sy) / 2.0, 0.0, 1.0))

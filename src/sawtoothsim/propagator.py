@@ -104,7 +104,8 @@ class BatchPropagator:
     steps in one call instead, and :meth:`step_with` applies one step
     of them, bit for bit what :meth:`step` gives: the pair the gate
     channel's :class:`~sawtoothsim.circuit.CircuitEngine` has, with the
-    same ``table_entries`` (N here) per member and step.
+    same ``param_shape`` (() here: one detuning) and ``table_entries``
+    (N here) per member and step.
     """
 
     def __init__(self, lattice: LatticeParams):
@@ -117,7 +118,9 @@ class BatchPropagator:
         v = np.arange(S, dtype=float)
         self._kick_shape = H, S
         self._kick_tile = max(1, _KICK_TILE_AMPS // N)
-        self.table_entries = N  # kick-table entries per member and step
+        # per member and step: one kick detuning, and N kick-table entries
+        self.param_shape = ()
+        self.table_entries = N
         # exponents per unit kick strength, in the order row terms,
         # column terms, doubling factors
         self._kick_coef = 1j * np.concatenate(

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sawtoothsim import streams
@@ -440,6 +440,30 @@ def test_step_factors_equal_step_noisy(program, members, steps, eps, seed):
         chunked = engine.step_with(chunked, factors, step)
         stepped = engine.step_noisy(stepped, params[step])
         assert np.array_equal(chunked, stepped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=programs(max_n_q=8), members=st.integers(1, 3))
+@example(program=CircuitProgram(  # one-bit runs
+    n_q=2, phase_offset=0.5, gates=(Gate(PHASE1, target=0, angle=0.3),
+                                    Gate(HADAMARD, target=1),
+                                    Gate(PHASE1, target=0, angle=0.2))),
+    members=2)
+@example(program=CircuitProgram(  # a run without pair terms
+    n_q=4, phase_offset=0.0, gates=tuple(Gate(PHASE1, target=t, angle=t)
+                                         for t in (3, 0, 2))),
+    members=1)
+@example(program=CircuitProgram(  # no diagonal gate
+    n_q=3, phase_offset=1.0, gates=(Gate(HADAMARD, target=0),
+                                    Gate(HADAMARD, target=2))),
+    members=3)
+def test_table_entries_count_the_step_tables(program, members):
+    # table_entries is what step_factors builds per member for one step
+    engine = CircuitEngine(program)
+    _, _, runs = engine.step_factors(
+        np.zeros((1, members, *engine.param_shape)))
+    assert sum(f[0].size for run in runs for f in run) == (
+        members * engine.table_entries)
 
 
 def test_step_factors_reject_misshapen_blocks():

@@ -874,25 +874,51 @@ class TestRowSlices:
         ((3, 1 << 17), [1, 1, 1]),  # at most one slice per row
     ])
     def test_slices_follow_the_rule(self, monkeypatch, shape, slices):
+        # a step with no arrays, with one, and with two, the second an
+        # output buffer it writes per row (the form of fidelity_curve's
+        # ideal step); each call gets its slice's rows of every array
         monkeypatch.setattr(ex, "_slice_workers", 4)
         seen = []
+        params = np.arange(float(shape[0]))
 
-        def step(rows, params):
+        def bare(rows):
+            seen.append(len(rows))
+            return rows + 1.0
+
+        def one(rows, params):
             seen.append(len(rows))
             return rows + params[:, None]
 
-        block = np.zeros(shape)
-        params = np.arange(float(shape[0]))
-        out = ex._step_in_slices(step, block, params)
-        assert sorted(seen) == slices
-        assert np.array_equal(out, np.broadcast_to(params[:, None], shape))
-        if len(slices) > 1:
-            assert out is block  # written back in place
+        def two(rows, params, out):
+            seen.append((len(rows), len(params), len(out)))
+            out[:] = rows[:, 0] - params  # read before the step
+            rows += params[:, None]
+            return rows  # in place
+
+        for step, arrays, expected in (
+                (bare, (), np.ones(shape)),
+                (one, (params,), np.broadcast_to(params[:, None], shape))):
+            seen.clear()
+            block = np.zeros(shape)
+            out = ex._step_in_slices(step, block, *arrays)
+            assert sorted(seen) == slices
+            assert np.array_equal(out, expected)
+            if len(slices) > 1:
+                assert out is block  # written back in place
+
+        seen.clear()
+        block, buffer = np.ones(shape), np.full(shape[0], np.nan)
+        out = ex._step_in_slices(two, block, params, buffer)
+        assert sorted(seen) == [(n, n, n) for n in slices]
+        assert out is block
+        assert np.array_equal(block, 1.0 + np.broadcast_to(params[:, None],
+                                                           shape))
+        assert np.array_equal(buffer, 1.0 - params)
 
     def test_slice_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(ex, "_slice_workers", 2)
 
-        def step(rows, params):
+        def step(rows):
             if rows[0, 0] != 0.0:
                 raise RuntimeError("second slice")
             return rows
@@ -996,8 +1022,7 @@ def one_step_chunks(config, members, shape):
 
 def gate_entries(engine):
     """A member's phase-table entries and noise parameters per step."""
-    return (engine.table_entries,
-            engine.program.noisy_gate_count * PARAMS_PER_GATE)
+    return engine.table_entries, math.prod(engine.param_shape)
 
 
 def recorded_draws(monkeypatch, domain):
@@ -1154,6 +1179,40 @@ class TestStepChunks:
                                        for rng in rngs])
                 block = engine.step_noisy(block, params)
                 assert np.array_equal(pert, block)
+
+    @pytest.mark.parametrize("channel", ["quantum", "classical"])
+    def test_param_shape_is_the_drawn_and_built_shape(self, monkeypatch,
+                                                      channel):
+        # each engine's param_shape is the per-step shape of the noise
+        # perturbed_branch draws for it and the per-step shape its
+        # step_factors takes: (n_g, 4) gate parameters, or one detuning
+        config = chunk_config(5, members=3)
+        prop = BatchPropagator(config.lattice)
+        if channel == "classical":
+            config = replace(config, channel="classical", epsilon=0.0,
+                             delta_K=0.05)
+            engine, expected = prop, ()
+        else:
+            engine = ex._engine(config.lattice)
+            expected = (build_sawtooth_circuit(config.lattice)
+                        .noisy_gate_count, PARAMS_PER_GATE)
+        assert engine.param_shape == expected
+        shapes = []
+        blocks = ex.noise_blocks
+
+        def recorded(config, members, shape, chunks):
+            for chunk in blocks(config, members, shape, chunks):
+                shapes.append(chunk.shape)
+                yield chunk
+
+        monkeypatch.setattr(ex, "noise_blocks", recorded)
+        start = np.repeat(ex._initial_block(config, [0]), 3, axis=0)
+        assert sum(1 for _ in ex.perturbed_branch(config, prop, start,
+                                                  range(3), 5)) == 5
+        assert shapes and all(s[1:] == (3, *expected) for s in shapes)
+        engine.step_factors(np.zeros((2, 3, *expected)))
+        with pytest.raises(ValueError, match="has shape"):
+            engine.step_factors(np.zeros((2, 3, *expected, 1)))
 
     def test_chunked_draw_equals_per_step_draws(self):
         # in either channel, chunks of 4 and 3 steps hold the numbers of
@@ -1400,6 +1459,19 @@ class TestScatteringFidelity:
         for member in (-1, config.n_members):
             with pytest.raises(ValueError):
                 scattering_fidelity(config, 2, member=member)
+
+    @pytest.mark.parametrize("mode", ["analytic", "sampled"])
+    def test_zero_shots_refused_before_any_work(self, monkeypatch, mode):
+        # refused before the memory guard and before any forward step
+        def called(*args):
+            raise AssertionError("ran before shots was checked")
+
+        monkeypatch.setattr(ex, "perturbed_branch", called)
+        monkeypatch.setattr(ex, "_require_memory", called)
+        for shots in (0, -3):
+            with pytest.raises(ValueError, match="shots must be >= 1"):
+                scattering_fidelity(self.quantum_config(), 4, mode=mode,
+                                    shots=shots)
 
     # (channel, regime, n_q, analytic, sampled) at t = 9 for member 3
     ECHO_VALUES = [

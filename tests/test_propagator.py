@@ -326,7 +326,8 @@ def test_tiled_step_equals_rows_stepped_alone(monkeypatch, n_q, members):
             assert np.array_equal(out[m], alone[0])
             exact = step_exact(amps[m], lat, 0.0 if delta is None else delta[m])
             assert np.max(np.abs(out[m] - exact)) <= 1e-12
-        sliced = ex._step_in_slices(prop.step, amps.copy(), delta)
+        args = () if delta is None else (delta,)
+        sliced = ex._step_in_slices(prop.step, amps.copy(), *args)
         assert np.array_equal(sliced, out)
 
 
