@@ -491,6 +491,11 @@ class CircuitEngine:
     can serve every caller on its lattice.
     """
 
+    # amplitude rows a step holds per member besides its block: the spare
+    # block of the dense passes, and up to one row of phase tables (a
+    # half-size table, and the doubling that builds it or its top bit)
+    step_rows = 2
+
     def __init__(self, program: CircuitProgram):
         self.program = program
         self.n_q = n_q = program.n_q

@@ -51,7 +51,7 @@ from itertools import product
 import numpy as np
 
 from . import streams
-from .circuit import CircuitEngine, build_sawtooth_circuit
+from .circuit import PARAMS_PER_GATE, CircuitEngine, build_sawtooth_circuit
 from .classical import lyapunov_exponent
 from .propagator import _KICK_TILE_AMPS, BatchPropagator
 from .states import (
@@ -108,7 +108,9 @@ class ExperimentConfig:
     set), while ``theta0=None`` draws a fresh uniform center on the
     torus for every initial state in the ensemble (the standard choice
     when averaging over packets in the chaotic regime); a ``p0`` would
-    then be ignored, so it is refused.
+    then be ignored, so it is refused, as it is for a random state.
+    (A random state also ignores ``theta0``, whose default 1.0 cannot
+    be told apart from an explicit 1.0, so only the CLI refuses it.)
 
     ``n_states`` counts initial states, ``n_noise`` noise realizations
     per initial state; the ensemble has ``n_states * n_noise`` members.
@@ -149,6 +151,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        if self.initial == "random" and self.p0 is not None:
+            raise ValueError("a random initial state has no center: "
+                             "p0 must be None")
         if self.initial == "gaussian" and self.theta0 is None \
                 and self.p0 is not None:
             raise ValueError("p0 needs theta0: without theta0 every packet "
@@ -329,6 +334,11 @@ def _serial_slices() -> None:
     _slice_workers = 1
 
 
+def _slice_count(rows: int, N: int) -> int:
+    """Row slices of a (rows, N) step: at most one per worker, of 2^16 amps."""
+    return max(1, min(_slice_workers, rows, rows * N // _KICK_TILE_AMPS))
+
+
 def _step_in_slices(step, block: np.ndarray, *params) -> np.ndarray:
     """``step(block, *params)``, run as contiguous row slices on threads.
 
@@ -347,7 +357,7 @@ def _step_in_slices(step, block: np.ndarray, *params) -> np.ndarray:
     """
     global _slice_pool
     rows = block.shape[0]
-    n = min(_slice_workers, rows, block.size // _KICK_TILE_AMPS)
+    n = _slice_count(rows, block.shape[1])
     if n < 2:
         return step(block, *params)
 
@@ -450,64 +460,96 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 # curves
 # ---------------------------------------------------------------------------
 
-# (members, N) blocks live at the peak of fidelity_curve, plus a few
-# (N,) rows however many members there are.  tracemalloc peaks besides
-# member_f, in blocks at n_q = 12, stepped whole and in two row slices,
-# with the gate program already compiled: 4.01 and 3.85 for gate noise
-# with 10 states x 5 draws, and 4.54 and 4.58 with one draw for each of
-# 50 states, where the ideal branch is as large as the perturbed block.
-# The perturbed block, the spare block the circuit's dense passes write
-# into and the half-size phase tables make up the rest; two slices hold
-# half-size temporaries each.  Kick noise steps both branches in place,
-# one 2^16-amplitude tile at a time, and each slice takes its overlaps a
-# tile of ideal rows at a time, so it holds 1.38 and 1.48 blocks with
-# 50 x 4 and 2.46 and 2.86 with 50 x 1.  One member peaks at 7.04 rows at
-# n_q = 16 in either channel, where building the initial packet and the
-# propagator's two phase tables are most of the fixed rows.
-# scattering_fidelity builds one state and echoes one member, and drops
-# its propagator once the echo is done: at n_q = 16 a first call peaks
-# at 6.31 rows (gate, with the compile) and 6.04 (kick), later calls at
-# 6.11 and 6.04 for the first or a later state.  The guard's 6 blocks
-# follow the gate channel, the largest at 4.6.  Besides its blocks, a
-# branch holds one chunk of noise (_chunk_steps), at most 2^16
-# parameters (512 KB), and where it builds the chunk's factors at once,
-# at most 2^16 table entries (1 MB).  Over 40 steps tracemalloc put a
-# chunked gate curve at 2.9 MB or less (n_q 1 to 13, 1 to 50 members),
-# which is 21 rows for one member at n_q = 12 and 12 at 13, and a kick
-# curve at 24 rows at n_q = 12, 14 at 13 and 9.1 at 14 (1.5, 1.7 and
-# 2.3 MB).  One gate member, stepped one step at a time from n_q = 14
-# on, peaks at 8.8 rows at n_q = 14 (2.2 MB) and 7.1 at 15.
-_CURVE_LIVE_BLOCKS = 6
-_CURVE_FIXED_ROWS = 4
+def _noisy_gates(n_q: int) -> int:
+    """Noisy gates per step: 2 n_q Hadamards and 3 n_q^2 - n_q phase gates."""
+    return 3 * n_q ** 2 + n_q
 
 
-def _require_memory(lattice: LatticeParams, rows: int) -> None:
-    """Refuse a run whose amplitude rows would not fit in physical memory.
+def _budget_bytes(config: ExperimentConfig, members: int) -> int:
+    """Bytes of one chunk and its slices' tiles, for ``members`` rows.
 
-    ``rows`` counts the complex (N,) rows held at once; the estimate is
-    rows * N * 16 bytes.  Raises ValueError, before anything is
-    allocated, if that exceeds the machine's physical memory.  Where
-    the platform does not report its memory, nothing is checked.
+    With P noise parameters per member and step, each kind of a chunk
+    (:func:`_chunk_steps`) holds at most max(2^16, members * P) entries,
+    so a chunk holds at most 4 complex arrays of that size.  Gate
+    noise: the noise, its sector differences and their gathered terms
+    (float, half an array each), the phases and group unitaries (half),
+    the chunk's phase tables (one) and the doubling that builds the
+    last of them (one).  Kick noise: the chunk's kick tables (one) and
+    the two exponent arrays that build them (at most one each from
+    n_q = 4 on).  Each slice thread (:func:`_slice_count`) holds its
+    own propagator tile of max(2^16, N) amplitudes, or of all the rows
+    where they are fewer: a tile's kick tables and their two exponent
+    arrays, or the conjugated ideal rows of its overlaps (3 tiles).
     """
-    need = rows * lattice.N * np.dtype(complex).itemsize
+    N = config.lattice.N
+    params = (PARAMS_PER_GATE * _noisy_gates(config.lattice.n_q)
+              if config.channel == "quantum" else 1)
+    chunk = 4 * max(_KICK_TILE_AMPS, members * params)
+    tile = min(members * N, max(_KICK_TILE_AMPS, N))
+    return 16 * (chunk + 3 * tile * _slice_count(members, N))
+
+
+def _peak_bytes(config: ExperimentConfig, echo: bool = False) -> int:
+    """Bytes a curve of ``config`` holds at its peak, or with ``echo`` an echo.
+
+    Counted from what the code allocates: complex (N,) amplitude rows,
+    one chunk's budget (:func:`_budget_bytes`), and a curve's
+    ``member_f``, members x (t_max + 1) floats, with as many again for
+    the deviations its standard error takes.  The rows are the larger
+    of those held while the initial states are built and those held
+    while the branches step:
+
+    - a curve holds its ideal block (n_states rows) and the
+      propagator's two phase tables throughout; then either the
+      temporaries of building one state (4 rows), or the perturbed
+      block and the rows its engine's step holds per member besides the
+      block (1 + ``step_rows`` per member);
+    - an echo holds its state and the echo throughout; then either the
+      temporaries of building the state, the propagator's tables and
+      their conjugates, or the echo's two halves and a temporary (4
+      rows), or the two tables and the step's rows (2 + ``step_rows``).
+
+    The first compile of a lattice's engine comes before the first
+    chunk and the step's rows, and fits in what they count.  Pure
+    arithmetic: nothing is compiled or allocated.
+    """
+    members = 1 if echo else config.n_members
+    step_rows = (CircuitEngine if config.channel == "quantum"
+                 else BatchPropagator).step_rows
+    if echo:
+        rows = 2 + max(4, 2 + step_rows)
+    else:
+        rows = config.n_states + 2 + max(4, (1 + step_rows) * members)
+    curve = 0 if echo else 2 * members * (config.t_max + 1)
+    return (16 * rows * config.lattice.N + _budget_bytes(config, members)
+            + 8 * curve)
+
+
+def _require_memory(config: ExperimentConfig, echo: bool = False) -> None:
+    """Refuse a run whose peak (:func:`_peak_bytes`) exceeds physical memory.
+
+    Raises ValueError before anything is allocated.  Where the platform
+    does not report its memory, nothing is checked.
+    """
+    need = _peak_bytes(config, echo)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return
     if need > have:
         raise ValueError(
-            f"n_q={lattice.n_q} needs about {need} bytes for {rows} amplitude "
-            f"rows, more than the {have} bytes of physical memory")
+            f"n_q={config.lattice.n_q} needs about {need} bytes, more than "
+            f"the {have} bytes of physical memory")
 
 
 def fidelity_curve(config: ExperimentConfig) -> FidelityCurve:
     """Ensemble-averaged f(t) for the configured channel.
 
-    Raises ValueError up front if the amplitude blocks would not fit in
-    physical memory (see :func:`_require_memory`).
+    Raises ValueError up front, before anything is allocated, if the
+    curve's estimated peak exceeds physical memory: its amplitude rows,
+    one chunk's budget and ``member_f`` (see :func:`_peak_bytes`).
     """
-    _require_memory(config.lattice, _CURVE_LIVE_BLOCKS * config.n_members
-                    + _CURVE_FIXED_ROWS)
+    _require_memory(config)
     n_members = config.n_members
     prop = BatchPropagator(config.lattice)
     ideal = _initial_block(config, range(config.n_states))
@@ -645,14 +687,15 @@ def _span(e_folds, rate, lo, hi, name, amplitude):
 def _run_point(point):
     """Record of one sweep point ``(config, measure, failed)``.
 
-    Every point runs its curve: the record is
-    ``measure(fidelity_curve(config))``.  If the measure raises
-    FitError or NoCrossingError, the point logs one warning that names
-    ``failed`` and keeps ``failed``, its NaN record.
+    The record is ``measure(fidelity_curve(config))``, or
+    ``measure(None)`` for a point decided without a curve (config
+    None).  If the measure raises FitError or NoCrossingError, the
+    point logs one warning that names ``failed`` and keeps ``failed``,
+    its NaN record.
     """
     config, measure, failed = point
     try:
-        return measure(fidelity_curve(config))
+        return measure(None if config is None else fidelity_curve(config))
     except (FitError, NoCrossingError) as exc:
         log.warning("sweep point %r: %s", failed, exc)
         return failed
@@ -676,12 +719,29 @@ def _run_points(points, jobs):
     return [_run_point(point) for point in points]
 
 
+# most steps of a t_f point, and how far beyond them a crossing estimate
+# decides the point before it runs: the decay is exponential, so at
+# half its crossing time the mean f is still near 0.9^(1/2) = 0.95
+_TF_CAP = 20000
+_TF_OUT_OF_REACH = 2
+
+
+def _beyond_cap(t_guess: float, curve) -> TfRecord:
+    """Measure of a t_f point too slow to cross within the cap."""
+    raise NoCrossingError(
+        f"crossing estimate of {t_guess:.0f} steps is more than "
+        f"{_TF_OUT_OF_REACH} x the {_TF_CAP}-step cap")
+
+
 def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
              master_seed: int = 0, jobs: int = 1):
     """t_f on the (n_q, epsilon) grid, fresh ensembles per point.
 
     Every point starts from the packet at (1, 0).
-    A point whose curve never crosses keeps its place with t_f = NaN.
+    A point whose curve never crosses keeps its place with t_f = NaN;
+    so does, with its warning but without running, a point whose
+    crossing estimate 0.126/(eps^2 n_q^2) lies more than
+    ``_TF_OUT_OF_REACH`` times beyond the ``_TF_CAP``-step cap.
     An epsilon <= 0, or one whose rate eps^2 n_q^2 underflows to 0, is
     refused with ValueError before any point runs.
     """
@@ -689,13 +749,16 @@ def sweep_tf(n_q_list, epsilon_list, K: float, n_noise: int = 50,
     points = []
     for i, (n_q, epsilon) in enumerate(product(n_q_list, epsilon_list)):
         # the crossing sits near 0.126/(eps^2 nq^2); leave generous headroom
-        t_max = _span(0.32, epsilon ** 2 * n_q ** 2, 12, 20000,
-                      "epsilon", epsilon)
+        rate = epsilon ** 2 * n_q ** 2
+        t_max = _span(0.32, rate, 12, _TF_CAP, "epsilon", epsilon)
+        failed = TfRecord(t_f=math.nan, n_q=n_q, epsilon=epsilon)
+        if 0.126 / rate > _TF_OUT_OF_REACH * _TF_CAP:
+            points.append((None, partial(_beyond_cap, 0.126 / rate), failed))
+            continue
         config = ExperimentConfig(
             lattice=LatticeParams(n_q=n_q, K=K), channel="quantum",
             epsilon=epsilon, theta0=1.0, p0=0.0, t_max=t_max,
             n_noise=n_noise, master_seed=_point_seed(master_seed, i))
-        failed = TfRecord(t_f=math.nan, n_q=n_q, epsilon=epsilon)
         points.append((config, estimate_tf, failed))
     return _run_points(points, jobs)
 
@@ -738,9 +801,8 @@ def sweep_rate_vs_K(K_list, n_q: int = 9, epsilon: float = 1e-2,
     """
     _require_positive("epsilon", [epsilon])
     if t_max is None:
-        n_g = 3 * n_q ** 2 + n_q
-        t_max = _span(3.5, 0.25 * epsilon ** 2 * n_g, 40, 20000,
-                      "epsilon", epsilon)
+        t_max = _span(3.5, 0.25 * epsilon ** 2 * _noisy_gates(n_q), 40,
+                      20000, "epsilon", epsilon)
     points = []
     for i, (K, kind) in enumerate(product(K_list, _KIND_STATES)):
         config = ExperimentConfig(
@@ -894,7 +956,8 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
     initial state of member ``member`` is built, and its noise stream
     matches :func:`fidelity_curve` member ``member``, so the analytic
     mode equals the direct overlap at identical draws.  The memory
-    guard asks for a one-member curve's rows, whatever the member.
+    guard estimates the echo's own peak, whatever the member: one
+    state's rows and a one-member chunk (see :func:`_peak_bytes`).
 
     mode "analytic" evaluates the polarizations from the joint state;
     mode "sampled" estimates each from ``shots`` simulated projective
@@ -909,7 +972,7 @@ def scattering_fidelity(config: ExperimentConfig, t: int,
         raise ValueError(f"member must be in [0, {config.n_members})")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    _require_memory(config.lattice, _CURVE_LIVE_BLOCKS + _CURVE_FIXED_ROWS)
+    _require_memory(config, echo=True)
     (psi,) = _initial_block(config, [member // config.n_noise])
 
     # |1>-branch: forward noisy evolution, then exact inverse

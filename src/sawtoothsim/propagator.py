@@ -108,6 +108,10 @@ class BatchPropagator:
     (N here) per member and step.
     """
 
+    # amplitude rows a step holds per member besides its block: none, it
+    # steps in place (a tile's kick tables are counted per tile)
+    step_rows = 0
+
     def __init__(self, lattice: LatticeParams):
         self.lattice = lattice
         n_q, N = lattice.n_q, lattice.N

@@ -143,6 +143,15 @@ class TestFidelity:
         assert run("fidelity", "--nq", "4", "--initial", "plane",
                    "--out", out) == 1
 
+    def test_oversized_register_exits_config(self, tmp_path, capsys):
+        # 2^40 amplitudes per member: the memory guard refuses the run
+        # before anything is written
+        out = tmp_path / "x.csv"
+        assert run("fidelity", "--nq", "40", "--epsilon", "0.01",
+                   "--out", str(out)) == 1
+        assert "n_q=40 needs about" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_p0_without_theta0_rejected(self, tmp_path):
         # without theta0 every packet gets a random center, so a p0
         # would be recorded in the header but never used; a random

@@ -282,48 +282,102 @@ class TestFidelityCurve:
 
     def test_oversized_register_refused_before_allocating(self):
         # 2^40 amplitudes per member need terabytes: both entry points
-        # refuse up front, quoting the estimate and the physical memory
-        config = ExperimentConfig(lattice=LatticeParams(n_q=40, K=0.5),
-                                  epsilon=0.01, t_max=2, n_noise=3)
+        # refuse up front in either channel and regime, quoting the
+        # estimate and the physical memory, before an engine is compiled
+        # or a propagator allocated
+        lattice = LatticeParams(n_q=40, K=0.5)
+        configs = [ExperimentConfig(lattice=lattice, regime=regime, t_max=2,
+                                    n_noise=3, **amplitude)
+                   for amplitude in ({"epsilon": 0.01},
+                                     {"channel": "classical", "delta_K": 0.01})
+                   for regime in ("memoryless", "static")]
+        ex._engine.cache_clear()
         tracemalloc.start()
         try:
-            for call in (lambda: fidelity_curve(config),
-                         lambda: scattering_fidelity(config, 1, member=2)):
-                with pytest.raises(ValueError, match="n_q=40 needs about"):
-                    call()
+            for config in configs:
+                for call in (lambda: fidelity_curve(config),
+                             lambda: scattering_fidelity(config, 1,
+                                                         member=2)):
+                    with pytest.raises(ValueError,
+                                       match="n_q=40 needs about"):
+                        call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10 ** 6
+        assert ex._engine.cache_info().currsize == 0
+
+    # (n_q, n_states, n_noise, t_max): chunked small blocks whose chunks
+    # fill the budget, one-step chunks of parameters beyond it, blocks
+    # stepped in two row slices, and n_q = 16, where the rows outweigh
+    # every fixed cost
+    MEMORY_GRID = [(4, 1, 60, 120), (4, 1, 1, 40), (6, 5, 1, 40),
+                   (8, 1, 5, 12), (9, 31, 1, 12), (10, 60, 1, 4),
+                   (12, 10, 6, 4), (12, 5, 4, 4), (16, 1, 1, 3),
+                   (16, 2, 2, 3), (16, 4, 2, 2)]
+    MEMORY_SLACK = 2.5  # the estimate's largest factor over the peak
 
     @pytest.mark.parametrize("channel", ["quantum", "classical"])
     def test_memory_estimate_bounds_the_peak(self, monkeypatch, channel):
-        # at n_q = 16 the amplitude rows outweigh every fixed cost; the
-        # rows the guard asks for bound what a curve holds at its peak,
-        # the lattice's first compile included, with 1 and 4 members (one
-        # ideal row per member or one for two): one kick member builds
-        # its kick tables a chunk of steps at a time, every other branch
-        # steps one step at a time on noise drawn a chunk at a time
-        lattice = LatticeParams(n_q=16, K=0.1)
+        # on every cell, for both regimes, a curve and the echo of its last
+        # member hold at most what the guard estimates, the lattice's
+        # first compile included; the estimate exceeds the peak by at
+        # most MEMORY_SLACK, or where the peak is small by at most one
+        # chunk's budget
+        monkeypatch.setattr(ex, "_slice_workers", 2)
         amplitude = {"epsilon": 1e-3} if channel == "quantum" else {
             "delta_K": 1e-3}
-        estimates = []
-        monkeypatch.setattr(ex, "_require_memory",
-                            lambda lattice, rows: estimates.append(rows))
-        for n_states, n_noise in ((1, 1), (4, 1), (2, 2)):
+        for n_q in range(2, 17):  # the parameter count it reads
+            program = build_sawtooth_circuit(LatticeParams(n_q=n_q, K=0.5))
+            assert ex._noisy_gates(n_q) == program.noisy_gate_count
+        paths = set()
+        for (n_q, n_states, n_noise, t_max), regime in product(
+                self.MEMORY_GRID, ["memoryless", "static"]):
             config = ExperimentConfig(
-                lattice=lattice, channel=channel, theta0=None, t_max=3,
-                n_states=n_states, n_noise=n_noise, **amplitude)
-            ex._engine.cache_clear()
-            estimates.clear()
-            tracemalloc.start()
-            try:
-                fidelity_curve(config)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            (rows,) = estimates
-            assert peak < rows * lattice.N * 16
+                lattice=LatticeParams(n_q=n_q, K=0.1), channel=channel,
+                regime=regime, theta0=None, t_max=t_max, n_states=n_states,
+                n_noise=n_noise, **amplitude)
+            m = config.n_members
+            engine = ex._engine(config.lattice) if channel == "quantum" \
+                else BatchPropagator(config.lattice)
+            entries = (engine.table_entries, math.prod(engine.param_shape))
+            paths.add("chunked" if ex._chunk_steps(m, *entries) else
+                      "sliced" if ex._slice_count(m, config.lattice.N) > 1
+                      else "per-step")
+            for echo, run in ((False, lambda: fidelity_curve(config)),
+                              (True, lambda: scattering_fidelity(
+                                  config, t_max, member=m - 1))):
+                ex._engine.cache_clear()
+                tracemalloc.start()
+                try:
+                    run()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                need = ex._peak_bytes(config, echo)
+                budget = ex._budget_bytes(config, 1 if echo else m)
+                cell = (n_q, n_states, n_noise, regime, echo, peak, need)
+                assert peak <= need, cell
+                assert need <= max(self.MEMORY_SLACK * peak,
+                                   peak + budget), cell
+        assert paths == {"chunked", "per-step", "sliced"}
+
+    def test_memory_estimate_counts_member_f_twice(self):
+        # a long curve of many members: member_f outweighs a chunk, and
+        # the deviations its standard error takes double it at the end
+        config = ExperimentConfig(
+            lattice=LatticeParams(n_q=4, K=0.1), channel="classical",
+            regime="static", delta_K=1e-3, theta0=None, t_max=2500,
+            n_noise=250)
+        member_f = 8 * config.n_members * (config.t_max + 1)
+        tracemalloc.start()
+        try:
+            fidelity_curve(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ex._peak_bytes(config) - member_f < peak <= ex._peak_bytes(
+            config)
 
     def test_error_bar_shrinks_with_ensemble(self):
         def mean_err(n_noise):
@@ -395,12 +449,15 @@ class TestFidelityCurve:
 
     def test_p0_needs_theta0(self):
         # without theta0 every Gaussian packet gets a random center, so
-        # a p0 would be ignored; random states ignore both
+        # a p0 would be ignored; a random state has no center, so it
+        # refuses a p0 too
         lat = LatticeParams(n_q=4, K=0.5)
         with pytest.raises(ValueError, match="p0 needs theta0"):
             ExperimentConfig(lattice=lat, theta0=None, p0=0.3)
         ExperimentConfig(lattice=lat, theta0=None)
-        ExperimentConfig(lattice=lat, initial="random", theta0=None, p0=0.3)
+        with pytest.raises(ValueError, match="random initial state has no"):
+            ExperimentConfig(lattice=lat, initial="random", theta0=None,
+                             p0=0.3)
         # with theta0 set, an unset p0 is the packet at p = 0
         common = dict(lattice=lat, epsilon=0.05, t_max=6, n_noise=2)
         unset = fidelity_curve(ExperimentConfig(theta0=2.0, **common))
@@ -806,6 +863,33 @@ class TestSweeps:
         assert recs[0].t_f > 0 and recs[2].t_f > 0
         assert collapse_constant(recs) == collapse_constant([recs[0], recs[2]])
         assert "epsilon=0.06" in caplog.text
+
+    def test_out_of_reach_tf_point_decided_before_it_runs(self, monkeypatch,
+                                                          caplog):
+        # at the threshold, a crossing estimate _TF_OUT_OF_REACH times the
+        # cap, a curve run to the cap stays well above f = 0.9; a point
+        # beyond the threshold keeps its NaN record and its one warning
+        # without a curve, and a point just inside it runs to the cap
+        n_q, cap = 4, ex._TF_CAP
+        threshold = math.sqrt(0.126 / (ex._TF_OUT_OF_REACH * cap * n_q ** 2))
+        curve = fidelity_curve(ExperimentConfig(
+            lattice=LatticeParams(n_q=n_q, K=5.0), epsilon=threshold,
+            theta0=1.0, p0=0.0, t_max=cap, n_noise=2, master_seed=9))
+        assert curve.f.min() > 0.94
+        ran = []
+
+        def spy(config):
+            ran.append(config)
+            raise NoCrossingError("curve never drops below A=0.9")
+
+        monkeypatch.setattr(ex, "fidelity_curve", spy)
+        outside, inside = 0.99 * threshold, 1.01 * threshold
+        recs = sweep_tf([n_q], [outside, inside], K=5.0, n_noise=2)
+        assert [(c.epsilon, c.t_max) for c in ran] == [(inside, cap)]
+        assert [(r.epsilon, math.isnan(r.t_f)) for r in recs] == [
+            (outside, True), (inside, True)]
+        assert caplog.text.count("crossing estimate") == 1
+        assert caplog.text.count("sweep point") == 2
 
     def test_saturation_window_scales_with_lattice(self):
         lo8, hi8 = saturation_window(LatticeParams(n_q=8, K=1.0))
@@ -1503,9 +1587,9 @@ class TestScatteringFidelity:
         assert abs(got - sampled) < 1e-12
 
     @pytest.mark.parametrize("channel", ["quantum", "classical"])
-    def test_memory_estimate_bounds_the_peak(self, monkeypatch, channel):
+    def test_memory_estimate_bounds_the_peak(self, channel):
         # at n_q = 16 the amplitude rows outweigh every fixed cost; the
-        # rows the guard asks for bound what an echo holds at its peak,
+        # guard's echo estimate bounds what an echo holds at its peak,
         # for a member of the first state and one of a later state
         lattice = LatticeParams(n_q=16, K=0.1)
         amplitude = {"epsilon": 1e-3} if channel == "quantum" else {
@@ -1513,9 +1597,7 @@ class TestScatteringFidelity:
         config = ExperimentConfig(lattice=lattice, channel=channel,
                                   theta0=None, t_max=2, n_states=2,
                                   n_noise=2, **amplitude)
-        estimates = []
-        monkeypatch.setattr(ex, "_require_memory",
-                            lambda lattice, rows: estimates.append(rows))
+        need = ex._peak_bytes(config, echo=True)
         for member in (0, 3):
             tracemalloc.start()
             try:
@@ -1523,4 +1605,4 @@ class TestScatteringFidelity:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < estimates[-1] * lattice.N * 16
+            assert peak <= need, (member, peak, need)
