@@ -44,6 +44,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from itertools import product
@@ -305,38 +306,26 @@ def noise_blocks(config: ExperimentConfig, members, shape: tuple, chunks):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where there is one."""
+    """Workers this process may keep busy: the one worker rule.
+
+    1 in a process that multiprocessing started, such as a sweep worker,
+    whose sibling workers already fill the cores; otherwise the CPUs of
+    the process's affinity mask, where the platform has one.  Such a
+    process has imported multiprocessing, so the rule does not import it
+    into any other (about 0.5 MB and 5 ms).
+    """
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
 
 
-# most row slices per step: one per usable CPU; sweep worker processes
-# set it to 1, since the processes already fill the cores
-_slice_workers = _usable_cpus()
-_slice_pool = None  # threads for all slices but the first, made on first use
-
-
-def _drop_slice_pool() -> None:
-    """Forget the pool: a forked child inherits it without its threads."""
-    global _slice_pool
-    _slice_pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_slice_pool)
-
-
-def _serial_slices() -> None:
-    """Initializer of sweep worker processes: one slice per step."""
-    global _slice_workers
-    _slice_workers = 1
-
-
 def _slice_count(rows: int, N: int) -> int:
     """Row slices of a (rows, N) step: at most one per worker, of 2^16 amps."""
-    return max(1, min(_slice_workers, rows, rows * N // _KICK_TILE_AMPS))
+    return max(1, min(_usable_cpus(), rows, rows * N // _KICK_TILE_AMPS))
 
 
 def _step_in_slices(step, block: np.ndarray, *params) -> np.ndarray:
@@ -347,15 +336,16 @@ def _step_in_slices(step, block: np.ndarray, *params) -> np.ndarray:
     slice's call gets each array cut to the slice's rows, so a step can
     also write a per-row result into one of them.  Rows do not depend
     on each other, and numpy's FFTs and matrix products release the
-    GIL, so slices step at the same time.  The block is cut into at
-    most ``_slice_workers`` slices of at least ``_KICK_TILE_AMPS``
-    amplitudes; the calling thread steps the first slice, a thread pool
-    the others, and a result that is not the slice itself (the circuit
-    may return its spare block; the propagator steps in place) is
-    copied back into ``block``, which is returned.  A block too small
-    for two such slices is stepped by one plain call.
+    GIL, so slices step at the same time.  The block is cut into
+    :func:`_slice_count` slices of at least ``_KICK_TILE_AMPS``
+    amplitudes; the calling thread steps the first slice and a thread
+    pool the others.  The pool is opened for this call and joined
+    before it returns, so no thread outlives the step.  A result that
+    is not the slice itself (the circuit may return its spare block;
+    the propagator steps in place) is copied back into ``block``,
+    which is returned.  A block too small for two such slices is
+    stepped by one plain call.
     """
-    global _slice_pool
     rows = block.shape[0]
     n = _slice_count(rows, block.shape[1])
     if n < 2:
@@ -367,16 +357,12 @@ def _step_in_slices(step, block: np.ndarray, *params) -> np.ndarray:
         if out is not view:
             view[...] = out
 
-    from concurrent.futures import ThreadPoolExecutor, wait
-    if _slice_pool is None:
-        _slice_pool = ThreadPoolExecutor(_slice_workers - 1)
+    from concurrent.futures import ThreadPoolExecutor
     bounds = [rows * i // n for i in range(n + 1)]
-    futures = [_slice_pool.submit(run, bounds[i], bounds[i + 1])
-               for i in range(1, n)]
-    try:
+    with ThreadPoolExecutor(n - 1) as pool:
+        futures = [pool.submit(run, bounds[i], bounds[i + 1])
+                   for i in range(1, n)]
         run(0, bounds[1])
-    finally:
-        wait(futures)
     for future in futures:
         future.result()  # raises a slice's exception
     return block
@@ -400,11 +386,14 @@ def _chunk_steps(members: int, *entries: int) -> int:
     """Most steps of noise a chunk holds: 2^16 // (members * max(entries)).
 
     ``entries`` are a member's entries per step of each kind a chunk
-    holds at once, so that each kind stays within ``_KICK_TILE_AMPS``
-    entries (1 MB of phases, 512 KB of parameters).  A step's factor
-    tables hold at least N entries per member, but up to n_q = 6 a gate
-    step's parameters outnumber them.  0 where one step is over the
-    budget.  The budget is read from this module at each call.
+    holds at once (2^16 entries are 1 MB of phases or 512 KB of
+    parameters).  A step's factor tables hold at least N entries per
+    member, but up to n_q = 6 a gate step's parameters outnumber them.
+    0 where one step is over the budget; a chunk then still holds one
+    step's parameters for every member, so with P noise parameters per
+    member and step, each kind stays within max(2^16, members * P)
+    entries, the bound :func:`_budget_bytes` counts.  The budget is read
+    from this module at each call.
     """
     return _KICK_TILE_AMPS // (members * max(entries))
 
@@ -421,14 +410,17 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
 
     Both channels run one loop, which draws a chunk of steps per member
     at once and applies it one step at a time.  Where the factor tables
-    and the noise parameters of S > 0 steps fit the budget
-    (:func:`_chunk_steps`), the engine builds a chunk's factors in one
-    pass (``step_factors``) and applies them with ``step_with``, bit for
-    bit its per-step call.  Otherwise a chunk holds the steps whose
-    parameters fit the budget, at least one, and each step runs the
-    engine's per-step call (``step`` or ``step_noisy``) in row slices.  A
-    chunked block holds at most 2^16 / N members, too few to slice.  A
-    static branch is one chunk of its one draw, which serves every step.
+    and the noise parameters of S >= 2 steps fit the budget
+    (:func:`_chunk_steps`), or of one step in a static branch, the
+    engine builds a chunk's factors in one pass (``step_factors``) and
+    applies them with ``step_with``, bit for bit its per-step call.
+    Otherwise a chunk holds the steps whose parameters fit the budget,
+    at least one, and each step runs the engine's per-step call
+    (``step`` or ``step_noisy``) in row slices, which builds each table
+    just before it applies it: a memoryless chunk of one step would
+    gain nothing from building them all first.  A chunked block holds
+    at most 2^16 / N members, too few to slice.  A static branch is one
+    chunk of its one draw, which serves every step.
     """
     if config.channel == "classical":
         engine, step = prop, prop.step
@@ -437,15 +429,16 @@ def perturbed_branch(config: ExperimentConfig, prop: BatchPropagator,
         step = engine.step_noisy
     shape = engine.param_shape
     per_step = math.prod(shape)
+    static = config.regime == "static"
     chunk = _chunk_steps(len(members), engine.table_entries, per_step)
     build, step_with = engine.step_factors, engine.step_with
-    if not chunk:
+    if chunk < (1 if static else 2):
         chunk = max(1, _chunk_steps(len(members), per_step))
         build = np.asarray  # a per-step call takes its step's parameters
 
         def step_with(block, params, t):
             return _step_in_slices(step, block, params[t])
-    if config.regime == "static":
+    if static:
         chunk = max(steps, 1)
     sizes = [min(chunk, steps - t) for t in range(0, steps, chunk)]
     for size, params in zip(sizes, noise_blocks(config, members, shape, sizes)):
@@ -704,17 +697,18 @@ def _run_point(point):
 def _run_points(points, jobs):
     """Records of the sweep ``points`` in order (see :func:`_run_point`).
 
-    The points run on at most min(jobs, points, usable CPUs) worker
-    processes, each stepping its blocks in one slice.  Every measure is
-    a module-level function or a ``partial`` of one, so a point pickles.
+    The points run on at most min(jobs, points, :func:`_usable_cpus`)
+    worker processes, each of which steps its blocks in one slice, as
+    the same rule says inside a worker.  Every measure is a module-level
+    function or a ``partial`` of one, so a point pickles under any start
+    method.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, len(points), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_serial_slices) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_point, points))
     return [_run_point(point) for point in points]
 

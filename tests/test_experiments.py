@@ -1,10 +1,12 @@
 """Fidelity experiments: curves, decay fits, time scales, sweeps."""
 
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import astuple, replace
 from itertools import product, repeat
@@ -324,7 +326,7 @@ class TestFidelityCurve:
         # first compile included; the estimate exceeds the peak by at
         # most MEMORY_SLACK, or where the peak is small by at most one
         # chunk's budget
-        monkeypatch.setattr(ex, "_slice_workers", 2)
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
         amplitude = {"epsilon": 1e-3} if channel == "quantum" else {
             "delta_K": 1e-3}
         for n_q in range(2, 17):  # the parameter count it reads
@@ -903,19 +905,38 @@ class TestSweeps:
 # row slices on threads
 # ---------------------------------------------------------------------------
 
-def _slice_workers_here(curve):
-    """Sweep measure reporting its process and its slice count."""
-    return os.getpid(), ex._slice_workers
+def _slices_here(curve):
+    """Sweep measure reporting its process and its slices of a large step."""
+    return os.getpid(), ex._slice_count(200, 4096)
 
 
 def _pid_points(count):
     """``count`` one-step sweep points whose measure is the above."""
     config = ExperimentConfig(lattice=LatticeParams(n_q=3, K=0.5),
                               epsilon=0.01, t_max=1)
-    return [(config, _slice_workers_here, None)] * count
+    return [(config, _slices_here, None)] * count
 
 
-# a curve that splits leaves the slice pool alive in this process; the
+def run_python(argv, timeout=120):
+    """stdout of ``python *argv`` with src/ importable; fails on a hang."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ex.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    # its own session, so a hang is killed with every process it started
+    proc = subprocess.Popen([sys.executable, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"python {argv[0]} did not finish in {timeout} s")
+    assert proc.returncode == 0, err
+    return out
+
+
+# a curve that splits runs its slices on threads in this process; the
 # sweep then forks its workers, and a child forked by hand splits too
 FORKED_SWEEP = """
 import os
@@ -924,12 +945,11 @@ from sawtoothsim.experiments import (
     ExperimentConfig, classical_error_regimes, fidelity_curve)
 from sawtoothsim.states import LatticeParams
 
-ex._slice_workers = 2
+ex._usable_cpus = lambda: 2
 curve = ExperimentConfig(lattice=LatticeParams(n_q=12, K=0.1),
                          channel="classical", delta_K=0.05, theta0=None,
                          t_max=2, n_states=32)
 fidelity_curve(curve)
-assert ex._slice_pool is not None
 kwargs = dict(n_q=12, n_states=32, t_max=20, bootstrap=20, master_seed=4)
 serial = classical_error_regimes(0.1, [3e-2, 5e-2], jobs=1, **kwargs)
 forked = classical_error_regimes(0.1, [3e-2, 5e-2], jobs=2, **kwargs)
@@ -947,6 +967,37 @@ if hasattr(os, "fork"):
 print("done")
 """
 
+# a two-point sweep on two workers started by the method in argv[1]:
+# the workers import the package afresh, without this process's patch
+# of _usable_cpus, and their own rule gives them one slice each
+SWEEP_START_METHOD = """
+import multiprocessing
+import os
+import sys
+
+import sawtoothsim.experiments as ex
+from sawtoothsim.experiments import ExperimentConfig, sweep_tf
+from sawtoothsim.states import LatticeParams
+
+
+def slices_here(curve):
+    return os.getpid(), ex._slice_count(200, 4096)
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    ex._usable_cpus = lambda: 2
+    sweep = dict(n_q_list=[4], epsilon_list=[0.05, 0.06], K=5.0, n_noise=4,
+                 master_seed=9)
+    serial = sweep_tf(jobs=1, **sweep)
+    assert repr(sweep_tf(jobs=2, **sweep)) == repr(serial), serial
+    config = ExperimentConfig(lattice=LatticeParams(n_q=3, K=0.5),
+                              epsilon=0.01, t_max=1)
+    seen = ex._run_points([(config, slices_here, None)] * 2, 2)
+    assert all(pid != os.getpid() and slices == 1 for pid, slices in seen)
+    print("done")
+"""
+
 
 class TestRowSlices:
     @pytest.mark.parametrize("shape, slices", [
@@ -961,7 +1012,7 @@ class TestRowSlices:
         # a step with no arrays, with one, and with two, the second an
         # output buffer it writes per row (the form of fidelity_curve's
         # ideal step); each call gets its slice's rows of every array
-        monkeypatch.setattr(ex, "_slice_workers", 4)
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 4)
         seen = []
         params = np.arange(float(shape[0]))
 
@@ -1000,7 +1051,7 @@ class TestRowSlices:
         assert np.array_equal(buffer, 1.0 - params)
 
     def test_slice_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(ex, "_slice_workers", 2)
+        monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
 
         def step(rows):
             if rows[0, 0] != 0.0:
@@ -1039,18 +1090,43 @@ class TestRowSlices:
         member_f = {}
         for workers in (1, 2):
             stepped.clear()
-            monkeypatch.setattr(ex, "_slice_workers", workers)
+            monkeypatch.setattr(ex, "_usable_cpus", lambda: workers)
             member_f[workers] = fidelity_curve(config).member_f
             whole = config.n_members in stepped
             assert whole == (workers == 1)
         assert np.array_equal(member_f[2], member_f[1])
 
-    def test_sweep_workers_step_in_one_slice(self, monkeypatch):
-        # two usable CPUs, so both points run in forked workers
+    def test_no_thread_outlives_a_sliced_curve(self, monkeypatch):
+        # the slice threads run inside each step and are joined before
+        # it returns, so none is left when the curve ends
         monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+        threads = set()
+        step = BatchPropagator.step
+
+        def recorded(self, amps, *args):
+            threads.add(threading.get_ident())
+            return step(self, amps, *args)
+
+        monkeypatch.setattr(BatchPropagator, "step", recorded)
+        before = threading.active_count()
+        for channel, amplitude in (("classical", {"delta_K": 0.05}),
+                                   ("quantum", {"epsilon": 1e-2})):
+            fidelity_curve(ExperimentConfig(
+                lattice=LatticeParams(n_q=12, K=0.1), channel=channel,
+                theta0=None, t_max=2, n_states=32, **amplitude))
+            assert threading.active_count() == before
+        assert len(threads) > 1  # the curves did step on slice threads
+
+    def test_sweep_workers_step_in_one_slice(self, monkeypatch):
+        # two usable CPUs, so both points run in forked workers, which
+        # read the same rule as this process and get one slice each
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert ex._slice_count(200, 4096) == 2
         seen = ex._run_points(_pid_points(2), 2)
-        assert all(pid != os.getpid() and workers == 1
-                   for pid, workers in seen)
+        assert all(pid != os.getpid() and slices == 1
+                   for pid, slices in seen)
 
     def test_sweep_workers_fit_the_affinity_mask(self, monkeypatch):
         # a process pinned to one of two CPUs runs every point itself
@@ -1061,21 +1137,16 @@ class TestRowSlices:
         assert [pid for pid, _ in seen] == [os.getpid()] * 2
 
     def test_forked_sweep_finishes_and_matches_serial(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ex.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        # its own session, so a hang is killed with every process it forked
-        proc = subprocess.Popen([sys.executable, "-c", FORKED_SWEEP], env=env,
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, start_new_session=True)
-        try:
-            out, err = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("the forked sweep did not finish in 120 s")
-        assert proc.returncode == 0, err
-        assert out.split() == ["done"]
+        assert run_python(["-c", FORKED_SWEEP]).split() == ["done"]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_sweep_under_start_method(self, tmp_path, method):
+        # workers started without fork inherit no state of this process
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        script = tmp_path / "sweep.py"
+        script.write_text(SWEEP_START_METHOD)
+        assert run_python([str(script), method]).split() == ["done"]
 
 
 def chunk_config(n_q, regime="memoryless", members=1, steps=11, seed=4):
@@ -1163,17 +1234,23 @@ class TestStepChunks:
     @pytest.mark.parametrize("regime", ["memoryless", "static"])
     def test_curve_equals_per_step_curve(self, monkeypatch, regime):
         # 12 members at n_q = 6 step in chunks of 11, 11, 11 and 7 steps,
-        # or (with the budget one entry short of one step) step by step
+        # with the budget at the threshold of S = 2 in chunks of 2, and
+        # with the budget of S = 1 or one entry short of one step step
+        # by step; a static branch builds its one draw once wherever
+        # one step fits
         config = replace(chunk_config(6, regime, 4, steps=40), n_states=3,
                          initial="gaussian", theta0=None)
         sizes = chunk_sizes(monkeypatch)
         chunked = fidelity_curve(config).member_f
         assert sizes == ([11, 11, 11, 7] if regime == "memoryless" else [1])
-        sizes.clear()
-        per_step = max(gate_entries(ex._engine(config.lattice)))
-        monkeypatch.setattr(ex, "_KICK_TILE_AMPS", 12 * per_step - 1)
-        assert np.array_equal(fidelity_curve(config).member_f, chunked)
-        assert sizes == []
+        one_step = 12 * max(gate_entries(ex._engine(config.lattice)))
+        for budget, memoryless, static in ((2 * one_step, [2] * 20, [1]),
+                                           (one_step, [], [1]),
+                                           (one_step - 1, [], [])):
+            sizes.clear()
+            monkeypatch.setattr(ex, "_KICK_TILE_AMPS", budget)
+            assert np.array_equal(fidelity_curve(config).member_f, chunked)
+            assert sizes == (memoryless if regime == "memoryless" else static)
 
     def test_chunked_blocks_never_slice(self):
         # a step's tables hold at least N entries per member, so a block

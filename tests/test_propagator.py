@@ -317,7 +317,7 @@ def test_tiled_step_equals_rows_stepped_alone(monkeypatch, n_q, members):
     prop = BatchPropagator(lat)
     amps = block(lat, seed=30, members=members)
     dk = np.random.default_rng(members).uniform(-1.0, 1.0, members) * lat.k
-    monkeypatch.setattr(ex, "_slice_workers", 2)
+    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
     for delta in (None, dk):
         out = prop.step(amps.copy(), delta)
         for m in range(members):
